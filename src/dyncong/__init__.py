@@ -18,7 +18,6 @@ from .graphs import (
     BudgetExceeded,
     OutcomePath,
     SemanticsError,
-    abstract_successors,
     dev_set,
     eval_path,
     parikh,

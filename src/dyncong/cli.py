@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .arena import ArenaError, Game, parse_arena, serialize_arena, validate_arena
+from .arena import Arena, ArenaError, Game, parse_arena, serialize_arena
 from .costfn import CostFunctionError
 from .dynamics import (
     BlindProfile,
@@ -53,12 +53,17 @@ class InputError(ValueError):
     pass
 
 
-def _load_game(args) -> Game:
+def _load_arena(path: str) -> Arena:
+    """Reads and parses an arena file; parsing already validates it."""
     try:
-        with open(args.arena, encoding="utf-8") as handle:
-            arena = parse_arena(handle.read())
+        with open(path, encoding="utf-8") as handle:
+            return parse_arena(handle.read())
     except OSError as exc:
         raise InputError(f"cannot read arena file: {exc}") from exc
+
+
+def _load_game(args) -> Game:
+    arena = _load_arena(args.arena)
     if args.players < 1:
         raise InputError("--players must be at least 1")
     return Game(arena=arena, n=args.players)
@@ -156,14 +161,7 @@ def _ratio_payload(numerator: int, denominator: int):
 
 
 def cmd_validate(args):
-    try:
-        with open(args.arena, encoding="utf-8") as handle:
-            arena = parse_arena(handle.read())
-    except OSError as exc:
-        raise InputError(f"cannot read arena file: {exc}") from exc
-    violations = validate_arena(arena)
-    if violations:
-        raise InputError("; ".join(violations))
+    arena = _load_arena(args.arena)
     payload = {
         "command": "validate",
         "ok": True,
@@ -362,8 +360,16 @@ def cmd_pos(args):
 
 def cmd_oracle(args):
     if args.oracle_cmd == "gen-partition":
-        family = [int(x) for x in args.family.split(",")]
-        game, big_m = gen_partition_arena(family)
+        try:
+            family = [int(x) for x in args.family.split(",")]
+        except ValueError as exc:
+            raise InputError(
+                "--family wants comma-separated positive integers"
+            ) from exc
+        try:
+            game, big_m = gen_partition_arena(family)
+        except ValueError as exc:
+            raise InputError(f"--family: {exc}") from exc
         payload = {
             "command": "oracle gen-partition",
             "players": game.n,

@@ -138,25 +138,45 @@ class OutcomePath:
         }
 
 
-def path_from_json(arena: Arena, data: dict) -> OutcomePath:
+_STEP_KEYS = {"moves", "weights", "config"}
+
+
+def _move_from_json(arena: Arena, move) -> Edge:
+    if not isinstance(move, list) or len(move) != 2:
+        raise SemanticsError(f"a move needs exactly two endpoints, got {move!r}")
+    return arena.index(move[0]), arena.index(move[1])
+
+
+def path_from_json(arena: Arena, data) -> OutcomePath:
+    """Reads the ``{"steps": [...]}`` form of :meth:`OutcomePath.to_json`.
+
+    Raises :class:`SemanticsError` for a malformed file or steps that do not
+    chain; unknown state names raise :class:`ArenaError`.
+    """
+    if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
+        raise SemanticsError("outcome must be an object with a 'steps' list")
     steps = data["steps"]
     if not steps:
         raise SemanticsError("outcome path needs at least one step")
-    first_moves = steps[0]["moves"]
-    start = tuple(arena.index(frm) for frm, _ in first_moves)
     built = []
-    config = start
     for entry in steps:
-        moves = tuple(
-            (arena.index(frm), arena.index(to)) for frm, to in entry["moves"]
-        )
+        if not (
+            isinstance(entry, dict)
+            and set(entry) == _STEP_KEYS
+            and all(isinstance(entry[key], list) for key in _STEP_KEYS)
+        ):
+            raise SemanticsError(
+                "each outcome step must be an object whose 'moves', "
+                "'weights' and 'config' are lists"
+            )
+        moves = tuple(_move_from_json(arena, m) for m in entry["moves"])
         nxt = tuple(arena.index(s) for s in entry["config"])
-        if tuple(m[0] for m in moves) != config:
+        if built and tuple(m[0] for m in moves) != built[-1][2]:
             raise SemanticsError("steps do not chain")
         if tuple(m[1] for m in moves) != nxt:
             raise SemanticsError("step config does not match move heads")
         built.append((moves, tuple(entry["weights"]), nxt))
-        config = nxt
+    start = tuple(m[0] for m in built[0][0])
     return OutcomePath(start=start, steps=tuple(built))
 
 
@@ -264,17 +284,6 @@ def distributions(arena: Arena, abstract: tuple[int, ...], budget=None):
                 del dist[key]
 
     yield from rec(0, {}, 0)
-
-
-def abstract_successors(game: Game, abstract: tuple[int, ...]):
-    """Raw ``(weight, successor)`` pairs of an abstract configuration.
-
-    Duplicates are kept; shortest-path users deduplicate to the minimum
-    weight per successor.
-    """
-    return [
-        (weight, nxt) for _, weight, nxt in distributions(game.arena, abstract)
-    ]
 
 
 def dev_set(game: Game, config: Config, nxt: Config, player: int):

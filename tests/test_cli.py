@@ -269,3 +269,98 @@ def test_pretty_format(capsys, fig1_file):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("{\n")
+
+
+def invoke_raw(capsys, *argv):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Stdout of plain Dijkstra over the Parikh abstraction; the A* tie-break
+# rules of the social-optimum search must reproduce these bytes.
+SO_FIG1_N2 = (
+    '{"command": "so", "cost": 22, "witness": {"steps": ['
+    '{"moves": [["src", "v1"], ["src", "v1"]], "weights": [2, 2], "config": ["v1", "v1"]}, '
+    '{"moves": [["v1", "v2"], ["v1", "v3"]], "weights": [6, 3], "config": ["v2", "v3"]}, '
+    '{"moves": [["v2", "v3"], ["v3", "tgt"]], "weights": [1, 4], "config": ["v3", "tgt"]}, '
+    '{"moves": [["v3", "tgt"], ["tgt", "tgt"]], "weights": [4, 0], "config": ["tgt", "tgt"]}'
+    ']}}\n'
+)
+SO_FIG5_N5 = (
+    '{"command": "so", "cost": 86, "witness": {"steps": ['
+    '{"moves": [["q0", "q1"], ["q0", "q1"], ["q0", "q1"], ["q0", "q4"], ["q0", "q4"]], "weights": [6, 6, 6, 6, 6], "config": ["q1", "q1", "q1", "q4", "q4"]}, '
+    '{"moves": [["q1", "q2"], ["q1", "q2"], ["q1", "q2"], ["q4", "q5"], ["q4", "q5"]], "weights": [3, 3, 3, 2, 2], "config": ["q2", "q2", "q2", "q5", "q5"]}, '
+    '{"moves": [["q2", "q3"], ["q2", "q3"], ["q2", "q6"], ["q5", "q6"], ["q5", "q6"]], "weights": [3, 3, 3, 4, 4], "config": ["q3", "q3", "q6", "q6", "q6"]}, '
+    '{"moves": [["q3", "q7"], ["q3", "q7"], ["q6", "q7"], ["q6", "q7"], ["q6", "q7"]], "weights": [4, 4, 6, 6, 6], "config": ["q7", "q7", "q7", "q7", "q7"]}'
+    ']}}\n'
+)
+
+
+def test_so_stdout_bytes_pinned(capsys, fig1_file, fig5_file):
+    assert invoke_raw(capsys, "so", "--arena", fig1_file, "--players", "2")[:2] == (
+        0, SO_FIG1_N2
+    )
+    assert invoke_raw(capsys, "so", "--arena", fig5_file, "--players", "5")[:2] == (
+        0, SO_FIG5_N5
+    )
+
+
+def test_so_bound_stdout_bytes_pinned(capsys, fig5_file):
+    satisfied = SO_FIG5_N5.replace('"so", ', '"so", "satisfied": true, ', 1)
+    for bound in ("86", "89"):
+        code, out, _ = invoke_raw(
+            capsys, "so", "--arena", fig5_file, "--players", "5", "--bound", bound
+        )
+        assert (code, out) == (0, satisfied)
+    code, out, _ = invoke_raw(
+        capsys, "so", "--arena", fig5_file, "--players", "5", "--bound", "85"
+    )
+    assert (code, out) == (1, '{"command": "so", "satisfied": false}\n')
+
+
+@pytest.mark.parametrize("family", ["x", "1,2"])
+def test_gen_partition_bad_family(capsys, family):
+    code, out, err = invoke_raw(capsys, "oracle", "gen-partition", "--family", family)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncong: ") and err.count("\n") == 1
+
+
+def _write_outcome(tmp_path, data):
+    path = tmp_path / "outcome.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check-ne", "check-spe"])
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        {"witness": []},
+        {
+            "steps": [
+                {
+                    "moves": [["src", "v1"], ["src"]],
+                    "weights": [2, 2],
+                    "config": ["v1", "v1"],
+                }
+            ]
+        },
+    ],
+    ids=["no-steps", "one-endpoint"],
+)
+def test_check_bad_outcome_file(capsys, tmp_path, fig1_file, command, outcome):
+    code, out, err = invoke_raw(
+        capsys,
+        command,
+        "--arena",
+        fig1_file,
+        "--players",
+        "2",
+        "--outcome",
+        _write_outcome(tmp_path, outcome),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncong: ") and err.count("\n") == 1

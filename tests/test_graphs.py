@@ -8,7 +8,6 @@ from dyncong.dynamics import BlindProfile, play_profile
 from dyncong.graphs import (
     INF,
     SemanticsError,
-    abstract_successors,
     dev_set,
     eval_path,
     initial_config,
@@ -114,33 +113,6 @@ def test_parikh(fig1, fig1_g2):
     assert counts[fig1.index("tgt")] == 3
 
 
-def _abstract(arena, game, mapping):
-    counts = [0] * len(arena.states)
-    for name, k in mapping.items():
-        counts[arena.index(name)] = k
-    return tuple(counts)
-
-
-def test_abstract_successors_from_source(fig1, fig1_g2):
-    result = abstract_successors(fig1_g2, _abstract(fig1, fig1_g2, {"src": 2}))
-    as_set = {(w, nxt) for w, nxt in result}
-    assert (4, _abstract(fig1, fig1_g2, {"v1": 2})) in as_set
-    assert (10, _abstract(fig1, fig1_g2, {"v2": 2})) in as_set
-    assert (6, _abstract(fig1, fig1_g2, {"v1": 1, "v2": 1})) in as_set
-    assert len(result) == 3
-
-
-def test_abstract_successors_target_loop(fig1):
-    game = Game(fig1, 3)
-    result = abstract_successors(game, _abstract(fig1, game, {"tgt": 3}))
-    assert result == [(0, _abstract(fig1, game, {"tgt": 3}))]
-
-
-def test_abstract_successors_forced_crossing(fig1, fig1_g2):
-    result = abstract_successors(fig1_g2, _abstract(fig1, fig1_g2, {"v3": 2}))
-    assert result == [(16, _abstract(fig1, fig1_g2, {"tgt": 2}))]
-
-
 def test_dev_set_from_source(fig1, fig1_g2):
     devs = dev_set(
         fig1_g2, cfg(fig1, "src", "src"), cfg(fig1, "v1", "v1"), 0
@@ -202,8 +174,10 @@ def test_step_weight_sum_matches_abstract_edge(corpus):
                 (s, rng.choice(game.arena.out[s])[0]) for s in config
             )
             weights, nxt = step(game, config, moves)
-            abstract = parikh(game, config)
-            successors = abstract_successors(game, abstract)
+            successors = {
+                (weight, succ)
+                for _, weight, succ in distributions(game.arena, parikh(game, config))
+            }
             assert (sum(weights), parikh(game, nxt)) in successors
             config = nxt
 

@@ -1,13 +1,24 @@
 import random
 
-from dyncong.arena import Game
+from dyncong.arena import Game, build_arena
 from dyncong.costfn import kappa
 from dyncong.dynamics import BlindProfile, blind_strategy, play_profile
-from dyncong.graphs import eval_path
-from dyncong.oracle import _all_blind_paths
-from dyncong.socopt import constrained_social_optimum, social_optimum
+from dyncong.graphs import distributions, eval_path, initial_config, parikh
+from dyncong.oracle import _all_blind_paths, brute_social_optimum
+from dyncong.socopt import (
+    SuccessorFold,
+    constrained_social_optimum,
+    social_optimum,
+    target_distances,
+)
 
-from corpus import diamond_arena, fig1_arena, merge_arena, trivial_arena
+from corpus import (
+    diamond_arena,
+    fig1_arena,
+    merge_arena,
+    random_arena,
+    trivial_arena,
+)
 
 
 def test_single_player_fig1(fig1):
@@ -68,3 +79,117 @@ def test_optimum_is_monotone_in_player_count():
     for arena in (trivial_arena(), diamond_arena(), merge_arena(), fig1_arena()):
         costs = [social_optimum(Game(arena, n)).cost for n in range(1, 5)]
         assert all(a <= b for a, b in zip(costs, costs[1:]))
+
+
+def _abstract(arena, mapping):
+    counts = [0] * len(arena.states)
+    for name, k in mapping.items():
+        counts[arena.index(name)] = k
+    return tuple(counts)
+
+
+def _fold_weights(game, mapping):
+    """Successor abstraction -> least step weight, from the successor fold."""
+    fold = SuccessorFold(game)
+    node = fold.encode(_abstract(game.arena, mapping))
+    return {
+        fold.decode(nxt): weight
+        for nxt, (weight, _, _) in fold.successors(node).items()
+    }
+
+
+def test_fold_successors_from_source(fig1, fig1_g2):
+    assert _fold_weights(fig1_g2, {"src": 2}) == {
+        _abstract(fig1, {"v1": 2}): 4,
+        _abstract(fig1, {"v2": 2}): 10,
+        _abstract(fig1, {"v1": 1, "v2": 1}): 6,
+    }
+
+
+def test_fold_successors_target_loop(fig1):
+    game = Game(fig1, 3)
+    assert _fold_weights(game, {"tgt": 3}) == {_abstract(fig1, {"tgt": 3}): 0}
+
+
+def test_fold_successors_forced_crossing(fig1, fig1_g2):
+    assert _fold_weights(fig1_g2, {"v3": 2}) == {_abstract(fig1, {"tgt": 2}): 16}
+
+
+def _reachable_abstractions(game):
+    start = parikh(game, initial_config(game))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        abstract = frontier.pop()
+        yield abstract
+        for _, _, nxt in distributions(game.arena, abstract):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+
+
+def _small_games(seed, count, max_players):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield Game(random_arena(rng), rng.randint(1, max_players))
+
+
+def test_fold_matches_first_least_distribution(corpus):
+    # Per successor, the fold keeps the least weight and the first
+    # distribution of that weight in the enumeration order of distributions.
+    # The seed-5 arena with n=4 has equal-weight successors whose first
+    # distribution is not the first one the fold meets.
+    games = [game for _, game in corpus] + list(_small_games(31, 20, 3))
+    games.append(Game(random_arena(random.Random(5)), 4))
+    for game in games:
+        fold = SuccessorFold(game)
+        for abstract in _reachable_abstractions(game):
+            first = {}
+            for dist, weight, nxt in distributions(game.arena, abstract):
+                if nxt not in first or weight < first[nxt][0]:
+                    first[nxt] = (weight, dist)
+            node = fold.encode(abstract)
+            got = {
+                fold.decode(nxt): (weight, fold.edge_counts(node, choice))
+                for nxt, (weight, _, choice) in fold.successors(node).items()
+            }
+            assert got == first
+
+
+def test_heuristic_is_consistent(corpus):
+    games = [game for _, game in corpus] + list(_small_games(29, 25, 3))
+    for game in games:
+        dist1 = target_distances(game.arena)
+        assert dist1[game.arena.tgt] == 0
+
+        def h(abstract):
+            return sum(c * d for c, d in zip(abstract, dist1))
+
+        for abstract in _reachable_abstractions(game):
+            for _, weight, nxt in distributions(game.arena, abstract):
+                assert h(abstract) <= weight + h(nxt)
+
+
+def test_optimum_matches_brute_force_on_random_arenas():
+    for game in _small_games(17, 30, 4):
+        cap = game.n * len(game.arena.states)
+        optimum = brute_social_optimum(game, cap)
+        result = social_optimum(game)
+        assert result.cost == optimum
+        for bound, expected in (
+            (optimum, True), (optimum - 1, False), (optimum + 3, True)
+        ):
+            ok, found = constrained_social_optimum(game, bound)
+            assert ok is expected
+            if ok:
+                assert found.cost == optimum
+                moves = [m for m, _, _ in found.witness.steps]
+                assert eval_path(game, moves)[1] == optimum
+                assert len(moves) <= cap
+
+
+def test_negative_bound_is_unsatisfiable_when_source_is_target():
+    game = Game(build_arena(["s"], [], "s", "s"), 2)
+    assert social_optimum(game).cost == 0
+    assert constrained_social_optimum(game, 0)[0]
+    assert constrained_social_optimum(game, -1) == (False, None)
