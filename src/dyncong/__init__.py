@@ -30,10 +30,12 @@ from .ne import (
     check_ne_outcome,
     compute_values,
     constrained_ne,
+    equilibrium_ratio,
     gamma_min_ne,
+    poa,
+    pos,
     synthesize_ne_profile,
 )
-from .cli import poa, pos
 from .socopt import constrained_social_optimum, social_optimum
 from .spe import (
     CounterState,

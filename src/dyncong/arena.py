@@ -142,6 +142,8 @@ _EDGE_KEYS = {"from", "to", "cost"}
 def _parse_cost(obj) -> CostFunction:
     if not isinstance(obj, dict) or set(obj) != {"pieces"}:
         raise ArenaError(f"cost must be an object with a 'pieces' key: {obj!r}")
+    if not isinstance(obj["pieces"], list):
+        raise ArenaError(f"cost 'pieces' must be a list: {obj['pieces']!r}")
     pieces = []
     last_from = 0
     for piece in obj["pieces"]:
@@ -158,6 +160,8 @@ def _parse_cost(obj) -> CostFunction:
         )
         if entry[0] is None:
             raise ArenaError(f"cost piece misses 'from_load': {piece!r}")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in entry):
+            raise ArenaError(f"cost piece values must be integers: {piece!r}")
         if entry[0] <= last_from:
             raise ArenaError("cost pieces must be sorted by from_load")
         last_from = entry[0]
@@ -182,6 +186,14 @@ def parse_arena(text: str) -> Arena:
     missing = _ARENA_KEYS - set(data)
     if missing:
         raise ArenaError(f"missing keys {sorted(missing)}")
+    states = data["states"]
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise ArenaError(f"'states' must be a list of state names: {states!r}")
+    for key in ("source", "target"):
+        if not isinstance(data[key], str):
+            raise ArenaError(f"'{key}' must be a state name: {data[key]!r}")
+    if not isinstance(data["edges"], list):
+        raise ArenaError(f"'edges' must be a list: {data['edges']!r}")
     edges = []
     for edge in data["edges"]:
         if not isinstance(edge, dict):
@@ -191,8 +203,10 @@ def parse_arena(text: str) -> Arena:
             raise ArenaError(f"unknown edge keys {sorted(unknown)}")
         if set(edge) != _EDGE_KEYS:
             raise ArenaError(f"edge misses keys: {edge!r}")
+        if not (isinstance(edge["from"], str) and isinstance(edge["to"], str)):
+            raise ArenaError(f"edge endpoints must be state names: {edge!r}")
         edges.append((edge["from"], edge["to"], _parse_cost(edge["cost"])))
-    arena = build_arena(data["states"], edges, data["source"], data["target"])
+    arena = build_arena(states, edges, data["source"], data["target"])
     # Files may declare the target loop, but only as the zero function; any
     # other declared loop was already rejected by build_arena's validation.
     return arena

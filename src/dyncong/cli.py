@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .arena import Arena, ArenaError, Game, parse_arena, serialize_arena
 from .costfn import CostFunctionError
@@ -30,9 +29,10 @@ from .graphs import (
     BudgetExceeded,
     SemanticsError,
     eval_path,
+    move_from_json,
     path_from_json,
 )
-from .ne import check_ne_outcome, compute_values, gamma_min_ne
+from .ne import check_ne_outcome, compute_values, equilibrium_ratio, gamma_min_ne
 from .oracle import (
     brute_best_response,
     brute_ne_outcomes,
@@ -115,49 +115,17 @@ def _emit(payload, args) -> None:
 
 
 def _profile_from_json(game: Game, data) -> BlindProfile:
-    if not isinstance(data, dict) or "profile" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("profile"), list):
         raise InputError("profile file must contain {'profile': [...]}")
     strategies = []
     for entry in data["profile"]:
-        edges = [
-            (game.arena.index(frm), game.arena.index(to)) for frm, to in entry
-        ]
+        if not isinstance(entry, list):
+            raise InputError(f"a profile entry must be a list of moves, got {entry!r}")
+        edges = [move_from_json(game.arena, move) for move in entry]
         strategies.append(blind_strategy(game.arena, edges))
     if len(strategies) != game.n:
         raise InputError("profile size differs from --players")
     return BlindProfile(tuple(strategies))
-
-
-def _equilibrium_ratio(numerator: int, denominator: int):
-    """Exact equilibrium/optimum ratio; None encodes an infinite ratio
-    (zero optimum against a positive equilibrium cost)."""
-    if denominator == 0:
-        return Fraction(1) if numerator == 0 else None
-    return Fraction(numerator, denominator)
-
-
-def poa(game: Game):
-    """Price of anarchy: worst equilibrium social cost over the optimum."""
-    so = social_optimum(game).cost
-    worst = -gamma_min_ne(game, (-1,) * game.n)[0]
-    return _equilibrium_ratio(worst, so)
-
-
-def pos(game: Game):
-    """Price of stability: best equilibrium social cost over the optimum."""
-    so = social_optimum(game).cost
-    best = gamma_min_ne(game, (1,) * game.n)[0]
-    return _equilibrium_ratio(best, so)
-
-
-def _ratio_payload(numerator: int, denominator: int):
-    ratio = _equilibrium_ratio(numerator, denominator)
-    if ratio is None:
-        return {"ratio": None, "infinite": True, "decimal": None}
-    return {
-        "ratio": {"num": ratio.numerator, "den": ratio.denominator},
-        "decimal": float(ratio),
-    }
 
 
 def cmd_validate(args):
@@ -254,7 +222,6 @@ def cmd_ne(args):
     game = _load_game(args)
     gamma = _parse_gamma(args, game.n)
     cost, witness = gamma_min_ne(game, gamma)
-    assert check_ne_outcome(game, witness)
     costs, social, _ = eval_path(game, [m for m, _, _ in witness.steps])
     payload = {
         "command": "ne",
@@ -332,28 +299,17 @@ def cmd_check_spe(args):
     return EXIT_OK if accepted else EXIT_NO
 
 
-def _metrics(game: Game):
-    so = social_optimum(game).cost
-    best, _ = gamma_min_ne(game, (1,) * game.n)
-    worst_neg, _ = gamma_min_ne(game, (-1,) * game.n)
-    worst = -worst_neg
-    return so, best, worst
-
-
-def cmd_poa(args):
+def cmd_ratio(args):
     game = _load_game(args)
-    so, best, worst = _metrics(game)
-    payload = {"command": "poa", "social_optimum": so, "worst_ne": worst}
-    payload.update(_ratio_payload(worst, so))
-    _emit(payload, args)
-    return EXIT_OK
-
-
-def cmd_pos(args):
-    game = _load_game(args)
-    so, best, worst = _metrics(game)
-    payload = {"command": "pos", "social_optimum": so, "best_ne": best}
-    payload.update(_ratio_payload(best, so))
+    worst = args.command == "poa"
+    so, cost, ratio = equilibrium_ratio(game, worst)
+    payload = {"command": args.command, "social_optimum": so,
+               "worst_ne" if worst else "best_ne": cost}
+    if ratio is None:
+        payload.update({"ratio": None, "infinite": True, "decimal": None})
+    else:
+        payload["ratio"] = {"num": ratio.numerator, "den": ratio.denominator}
+        payload["decimal"] = float(ratio)
     _emit(payload, args)
     return EXIT_OK
 
@@ -491,11 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poa", help="price of anarchy")
     _add_game_args(p)
-    p.set_defaults(func=cmd_poa)
+    p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("pos", help="price of stability")
     _add_game_args(p)
-    p.set_defaults(func=cmd_pos)
+    p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("oracle", help="brute-force reference queries")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 
 from .arena import Arena, Game
-from .graphs import Edge, OutcomePath, eval_path
+from .graphs import Edge, eval_path
 
 
 class StrategyError(ValueError):
@@ -235,8 +235,3 @@ def is_blind_ne(game: Game, profile: BlindProfile) -> bool:
         if cost < costs[player]:
             return False
     return True
-
-
-def profile_outcome(game: Game, profile: BlindProfile) -> OutcomePath:
-    _, _, path = play_profile(game, profile)
-    return path

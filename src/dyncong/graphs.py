@@ -99,12 +99,6 @@ def moves_between(arena: Arena, config: Config, nxt: Config) -> MoveVector:
     return tuple(moves)
 
 
-def step_weights(game: Game, config: Config, nxt: Config) -> tuple[int, ...]:
-    weights, result = step(game, config, moves_between(game.arena, config, nxt))
-    assert result == nxt
-    return weights
-
-
 @dataclass(frozen=True)
 class OutcomePath:
     """A finite play: a start configuration and chained weighted joint steps."""
@@ -141,7 +135,7 @@ class OutcomePath:
 _STEP_KEYS = {"moves", "weights", "config"}
 
 
-def _move_from_json(arena: Arena, move) -> Edge:
+def move_from_json(arena: Arena, move) -> Edge:
     if not isinstance(move, list) or len(move) != 2:
         raise SemanticsError(f"a move needs exactly two endpoints, got {move!r}")
     return arena.index(move[0]), arena.index(move[1])
@@ -169,7 +163,7 @@ def path_from_json(arena: Arena, data) -> OutcomePath:
                 "each outcome step must be an object whose 'moves', "
                 "'weights' and 'config' are lists"
             )
-        moves = tuple(_move_from_json(arena, m) for m in entry["moves"])
+        moves = tuple(move_from_json(arena, m) for m in entry["moves"])
         nxt = tuple(arena.index(s) for s in entry["config"])
         if built and tuple(m[0] for m in moves) != built[-1][2]:
             raise SemanticsError("steps do not chain")

@@ -4,17 +4,22 @@ The outcome of a Nash equilibrium is characterized step by step: deviating at
 any point can be punished by the coalition of all other players, and the most
 they can force on player i from configuration c is the zero-sum value of c
 for i.  Since the game is symmetric, that value only depends on the player's
-own state and the multiset of coalition positions; it is computed once by
-value iteration and shared across players.  Optimal (best or worst) Nash
+own state and the multiset of coalition positions, so one value table serves
+every player.  :func:`compute_values` solves it by in-place sweeps over
+integer-indexed value states in order of hop distance to the target, reading
+each edge cost from a per-edge table; a sweep that changes nothing is the
+greatest fixpoint (see its docstring).  Optimal (best or worst) Nash
 equilibria come from a shortest-path search over the configuration graph
 augmented with per-player residual bounds that encode "no pending deviation
-is profitable".
+is profitable".  Every command builds the table once and runs at most one
+such search, PoA and PoS included (:func:`equilibrium_ratio`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arena import Game
 from .costfn import kappa
@@ -35,6 +40,7 @@ from .graphs import (
     step,
     target_config,
 )
+from .socopt import social_optimum
 
 ValueState = tuple[int, tuple[int, ...]]  # (own state, coalition counts)
 
@@ -71,84 +77,144 @@ def _coalition_states(game: Game):
         yield tuple(counts)
 
 
+def _hops_to_target(arena) -> list[int]:
+    """Fewest edges from each state to the target (BFS on reversed edges)."""
+    preds: list[list[int]] = [[] for _ in arena.states]
+    for u, v in arena.edges:
+        preds[v].append(u)
+    hops = [-1] * len(arena.states)
+    hops[arena.tgt] = 0
+    queue = [arena.tgt]
+    for v in queue:
+        for u in preds[v]:
+            if hops[u] < 0:
+                hops[u] = hops[v] + 1
+                queue.append(u)
+    return hops
+
+
 def compute_values(game: Game) -> ValueTable:
-    """Value iteration for the sup-inf deviation values.
+    """Ordered in-place value iteration for the sup-inf deviation values.
 
     One step resolves as: the coalition commits to an edge distribution, then
     the player, who can read the coalition strategy, picks their own edge;
     the player pays their edge's cost at one plus the coalition load on that
-    same edge.  Iteration starts from +inf off the target and decreases to
-    the least guarantee; the fixpoint must be finite (the player alone
-    controls their position, so the target is never barred) and at most
-    ``|V| * kappa``.
+    same edge.  Value state ``(own, counts)`` has integer id
+    ``count_index * |V| + own``; each player edge's cost is tabulated once
+    as ``(d(1), ..., d(n))`` and indexed by the coalition load.
+
+    Values start at +inf off the target (0 on it) and are updated in place
+    (Gauss-Seidel), each sweep visiting the non-target states in ascending
+    order of ``hops(own) + sum(counts[v] * hops(v))``, the hop distances to
+    the target, so that one sweep carries values back along short routes.
+    The iteration stops after the first sweep that changes nothing.  This is
+    the same fixpoint the Jacobi iteration reaches: the one-step operator F
+    is monotone and every iterate starts at +inf, so each in-place value
+    stays at or above F's greatest fixpoint (induction: x >= nu implies
+    F(x) >= F(nu) = nu) and at or below the Jacobi iterate of the same sweep
+    (values only decrease, so an in-place update reads values no larger than
+    Jacobi's).  A sweep that changes nothing is a fixpoint at or above the
+    greatest one, hence equal to it and to the Jacobi limit.  ``punish``
+    keeps the first maximizing distribution (canonical order) of that last
+    sweep, which read only final values.
+
+    The fixpoint must be finite (the player alone controls their position,
+    so the target is never barred) and at most ``|V| * kappa``.
     """
     arena = game.arena
-    ceiling = len(arena.states) * kappa(game)
+    num_states = len(arena.states)
+    tgt = arena.tgt
+    ceiling = num_states * kappa(game)
     budget = node_budget()
 
-    coalition_moves: dict[tuple[int, ...], list] = {}
-    states: list[ValueState] = []
+    all_counts: list[tuple[int, ...]] = []
     for counts in _coalition_states(game):
-        moves = [
-            (dist, nxt) for dist, _, nxt in distributions(arena, counts)
-        ]
-        coalition_moves[counts] = moves
-        for own in range(len(arena.states)):
-            states.append((own, counts))
-            if len(states) > budget:
-                raise BudgetExceeded("value-table state space above node budget")
+        if (len(all_counts) + 1) * num_states > budget:
+            raise BudgetExceeded("value-table state space above node budget")
+        all_counts.append(counts)
+    count_index = {counts: ci for ci, counts in enumerate(all_counts)}
+    total = len(all_counts) * num_states
 
-    values: dict[ValueState, float] = {
-        s: 0 if s[0] == arena.tgt else INF for s in states
-    }
-    cap = len(arena.states) + len(states) * ceiling
+    # Edge ids follow state order, then out-edge order: the key order of
+    # the distribution dicts, so punish dicts rebuild in that same order.
+    edges = [(v, succ) for v in range(num_states) for succ, _ in arena.out[v]]
+    edge_id = {edge: k for k, edge in enumerate(edges)}
+    options = [
+        [
+            (succ, tuple(fn(load) for load in range(1, game.n + 1)),
+             edge_id[(v, succ)])
+            for succ, fn in arena.out[v]
+        ]
+        for v in range(num_states)
+    ]
+    # Per coalition state: (per-edge coalition loads, successor id base).
+    moves: list[list[tuple[tuple[int, ...], int]]] = []
+    for counts in all_counts:
+        row = []
+        for dist, _, nxt in distributions(arena, counts):
+            loads = [0] * len(edges)
+            for edge, count in dist.items():
+                loads[edge_id[edge]] = count
+            row.append((tuple(loads), count_index[nxt] * num_states))
+        moves.append(row)
+
+    hops = _hops_to_target(arena)
+    count_hops = [sum(c * h for c, h in zip(counts, hops)) for counts in all_counts]
+    order = sorted(
+        (s for s in range(total) if s % num_states != tgt),
+        key=lambda s: (hops[s % num_states] + count_hops[s // num_states], s),
+    )
+    sweep = [(s, options[s % num_states], moves[s // num_states]) for s in order]
+
+    values: list[float] = [INF] * total
+    for s in range(tgt, total, num_states):
+        values[s] = 0
+    first_max = [0] * total
+    cap = num_states + total * ceiling
     for _ in range(cap):
-        updated = {}
         changed = False
-        for s in states:
-            own, counts = s
-            if own == arena.tgt:
-                updated[s] = 0
-                continue
-            worst = 0
-            for dist, nxt in coalition_moves[counts]:
-                response = min(
-                    fn(1 + dist.get((own, succ), 0)) + values[(succ, nxt)]
-                    for succ, fn in arena.out[own]
-                )
+        for s, opts, row in sweep:
+            worst = -1
+            arg = 0
+            for m, (loads, base) in enumerate(row):
+                response = INF
+                for succ, table, eid in opts:
+                    r = table[loads[eid]] + values[base + succ]
+                    if r < response:
+                        response = r
+                        if r <= worst:
+                            break  # this distribution cannot beat ``worst``
                 if response > worst:
                     worst = response
-            updated[s] = worst
+                    arg = m
+            first_max[s] = arg
             if worst != values[s]:
+                values[s] = worst
                 changed = True
-        values = updated
         if not changed:
             break
     else:
         raise AssertionError("value iteration missed its convergence cap")
 
+    table: dict[ValueState, int] = {}
     punish: dict[ValueState, dict] = {}
-    for s in states:
-        own, counts = s
-        if own == arena.tgt:
-            assert values[s] == 0
-        assert values[s] != INF, (
-            "infinite fixpoint value: the player alone controls reachability"
-        )
-        assert values[s] <= ceiling, "fixpoint value above the |V|*kappa ceiling"
-        best = None
-        for dist, nxt in coalition_moves[counts]:
-            response = min(
-                fn(1 + dist.get((own, succ), 0)) + values[(succ, nxt)]
-                for succ, fn in arena.out[own]
+    for ci, counts in enumerate(all_counts):
+        row = moves[ci]
+        dists: dict[int, dict] = {}
+        for own in range(num_states):
+            s = ci * num_states + own
+            value = values[s]
+            assert value != INF, (
+                "infinite fixpoint value: the player alone controls reachability"
             )
-            if response == values[s]:
-                best = dist
-                break
-        assert best is not None
-        punish[s] = best
-    return ValueTable(values={s: int(v) for s, v in values.items()},
-                      punish=punish, ceiling=ceiling)
+            assert value <= ceiling, "fixpoint value above the |V|*kappa ceiling"
+            m = first_max[s]  # 0 on the target: every response there is 0
+            if m not in dists:
+                loads = row[m][0]
+                dists[m] = {edges[k]: c for k, c in enumerate(loads) if c}
+            table[(own, counts)] = int(value)
+            punish[(own, counts)] = dists[m]
+    return ValueTable(values=table, punish=punish, ceiling=ceiling)
 
 
 def _check_path_shape(game: Game, path: OutcomePath):
@@ -294,6 +360,34 @@ def constrained_ne(game: Game, gamma, bound: int, values: ValueTable | None = No
     if cost <= bound:
         return True, cost, witness
     return False, cost, None
+
+
+def equilibrium_ratio(game: Game, worst: bool):
+    """Price of anarchy (``worst``) or of stability, with one NE search.
+
+    Returns ``(optimum, equilibrium, ratio)``: the social optimum, the social
+    cost of the worst (or best) Nash equilibrium, and their exact quotient;
+    ``ratio`` is None when it is infinite (zero optimum against a positive
+    equilibrium cost).
+    """
+    optimum = social_optimum(game).cost
+    sign = -1 if worst else 1
+    equilibrium = sign * gamma_min_ne(game, (sign,) * game.n)[0]
+    if optimum == 0:
+        ratio = Fraction(1) if equilibrium == 0 else None
+    else:
+        ratio = Fraction(equilibrium, optimum)
+    return optimum, equilibrium, ratio
+
+
+def poa(game: Game):
+    """Price of anarchy: worst equilibrium social cost over the optimum."""
+    return equilibrium_ratio(game, worst=True)[2]
+
+
+def pos(game: Game):
+    """Price of stability: best equilibrium social cost over the optimum."""
+    return equilibrium_ratio(game, worst=False)[2]
 
 
 @dataclass(frozen=True)

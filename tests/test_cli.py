@@ -202,7 +202,7 @@ def test_poa_pos_functions():
     from fractions import Fraction
 
     from dyncong.arena import Game
-    from dyncong.cli import poa, pos
+    from dyncong import poa, pos
 
     from corpus import zero_cost_arena
 
@@ -319,6 +319,72 @@ def test_so_bound_stdout_bytes_pinned(capsys, fig5_file):
     assert (code, out) == (1, '{"command": "so", "satisfied": false}\n')
 
 
+# Stdout of the Nash commands before the ordered value solver and the
+# one-search ratios; both must leave these bytes unchanged.
+VALUES_FIG1_N2 = (
+    '{"command": "values", "values": [{"state": "src", "coalition": {"tgt": 1}, "value": 8}, '
+    '{"state": "src", "coalition": {"v3": 1}, "value": 8}, '
+    '{"state": "src", "coalition": {"v2": 1}, "value": 8}, '
+    '{"state": "src", "coalition": {"v1": 1}, "value": 12}, '
+    '{"state": "src", "coalition": {"src": 1}, "value": 13}, '
+    '{"state": "v1", "coalition": {"tgt": 1}, "value": 7}, '
+    '{"state": "v1", "coalition": {"v3": 1}, "value": 7}, '
+    '{"state": "v1", "coalition": {"v2": 1}, "value": 11}, '
+    '{"state": "v1", "coalition": {"v1": 1}, "value": 11}, '
+    '{"state": "v1", "coalition": {"src": 1}, "value": 7}, '
+    '{"state": "v2", "coalition": {"tgt": 1}, "value": 5}, '
+    '{"state": "v2", "coalition": {"v3": 1}, "value": 5}, '
+    '{"state": "v2", "coalition": {"v2": 1}, "value": 10}, '
+    '{"state": "v2", "coalition": {"v1": 1}, "value": 9}, '
+    '{"state": "v2", "coalition": {"src": 1}, "value": 5}, '
+    '{"state": "v3", "coalition": {"tgt": 1}, "value": 4}, '
+    '{"state": "v3", "coalition": {"v3": 1}, "value": 8}, '
+    '{"state": "v3", "coalition": {"v2": 1}, "value": 4}, '
+    '{"state": "v3", "coalition": {"v1": 1}, "value": 4}, '
+    '{"state": "v3", "coalition": {"src": 1}, "value": 4}, '
+    '{"state": "tgt", "coalition": {"tgt": 1}, "value": 0}, '
+    '{"state": "tgt", "coalition": {"v3": 1}, "value": 0}, '
+    '{"state": "tgt", "coalition": {"v2": 1}, "value": 0}, '
+    '{"state": "tgt", "coalition": {"v1": 1}, "value": 0}, '
+    '{"state": "tgt", "coalition": {"src": 1}, "value": 0}]}\n'
+)
+NE_BEST_FIG5_N3 = (
+    '{"command": "ne", "gamma": [1, 1, 1], "cost": 36, "social": 36, "witness": {"steps": [{"moves": [["q0", "q1"], ["q0", "q1"], ["q0", "q4"]], "weights": [4, 4, 3], "config": ["q1", "q1", "q4"]}, '
+    '{"moves": [["q1", "q2"], ["q1", "q2"], ["q4", "q5"]], "weights": [3, 3, 1], "config": ["q2", "q2", "q5"]}, '
+    '{"moves": [["q2", "q3"], ["q2", "q3"], ["q5", "q6"]], "weights": [3, 3, 2], "config": ["q3", "q3", "q6"]}, '
+    '{"moves": [["q3", "q7"], ["q3", "q7"], ["q6", "q7"]], "weights": [4, 4, 2], "config": ["q7", "q7", "q7"]}]}}\n'
+)
+NE_WORST_FIG5_N3 = (
+    '{"command": "ne", "gamma": [-1, -1, -1], "cost": -46, "social": 46, "witness": {"steps": [{"moves": [["q0", "q1"], ["q0", "q1"], ["q0", "q1"]], "weights": [6, 6, 6], "config": ["q1", "q1", "q1"]}, '
+    '{"moves": [["q1", "q5"], ["q1", "q5"], ["q1", "q2"]], "weights": [2, 2, 3], "config": ["q5", "q5", "q2"]}, '
+    '{"moves": [["q5", "q6"], ["q5", "q6"], ["q2", "q3"]], "weights": [4, 4, 3], "config": ["q6", "q6", "q3"]}, '
+    '{"moves": [["q6", "q7"], ["q6", "q7"], ["q3", "q7"]], "weights": [4, 4, 2], "config": ["q7", "q7", "q7"]}]}}\n'
+)
+POA_FIG5_N3 = (
+    '{"command": "poa", "social_optimum": 36, "worst_ne": 46, '
+    '"ratio": {"num": 23, "den": 18}, "decimal": 1.2777777777777777}\n'
+)
+POS_FIG5_N3 = (
+    '{"command": "pos", "social_optimum": 36, "best_ne": 36, '
+    '"ratio": {"num": 1, "den": 1}, "decimal": 1.0}\n'
+)
+
+
+def test_nash_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file):
+    game5 = ("--arena", fig5_file, "--players", "3")
+    assert invoke_raw(capsys, "values", "--arena", fig1_file, "--players", "2")[:2] == (
+        0, VALUES_FIG1_N2
+    )
+    assert invoke_raw(capsys, "ne", "--best", *game5)[:2] == (0, NE_BEST_FIG5_N3)
+    assert invoke_raw(capsys, "ne", "--worst", *game5)[:2] == (0, NE_WORST_FIG5_N3)
+    assert invoke_raw(capsys, "poa", *game5)[:2] == (0, POA_FIG5_N3)
+    assert invoke_raw(capsys, "pos", *game5)[:2] == (0, POS_FIG5_N3)
+    outcome = _write_outcome(tmp_path, json.loads(NE_BEST_FIG5_N3)["witness"])
+    assert invoke_raw(capsys, "check-ne", *game5, "--outcome", outcome)[:2] == (
+        0, '{"command": "check-ne", "accepted": true}\n'
+    )
+
+
 @pytest.mark.parametrize("family", ["x", "1,2"])
 def test_gen_partition_bad_family(capsys, family):
     code, out, err = invoke_raw(capsys, "oracle", "gen-partition", "--family", family)
@@ -361,6 +427,68 @@ def test_check_bad_outcome_file(capsys, tmp_path, fig1_file, command, outcome):
         "--outcome",
         _write_outcome(tmp_path, outcome),
     )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncong: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "entry", [[["src"]], [["src", "v1", "x"]]], ids=["one-endpoint", "three-endpoints"]
+)
+def test_eval_bad_profile_move(capsys, tmp_path, fig1_file, entry):
+    profile = tmp_path / "profile.json"
+    valid = [["src", "v1"], ["v1", "v3"], ["v3", "tgt"]]
+    profile.write_text(json.dumps({"profile": [entry, valid]}))
+    code, out, err = invoke_raw(
+        capsys, "eval", "--arena", fig1_file, "--players", "2",
+        "--profile", str(profile),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncong: ") and err.count("\n") == 1
+
+
+def _two_state_arena():
+    return {
+        "states": ["s", "t"],
+        "source": "s",
+        "target": "t",
+        "edges": [
+            {"from": "s", "to": "t",
+             "cost": {"pieces": [{"from_load": 1, "slope": 1}]}},
+        ],
+    }
+
+
+def _string_states(data):
+    data["states"] = "st"
+
+
+def _scalar_pieces(data):
+    data["edges"][0]["cost"]["pieces"] = 5
+
+
+def _string_from_load(data):
+    data["edges"][0]["cost"]["pieces"][0]["from_load"] = "1"
+
+
+def _list_state_name(data):
+    data["states"].append(["u"])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_string_states, _scalar_pieces, _string_from_load, _list_state_name],
+    ids=["string-states", "scalar-pieces", "string-from-load", "list-state-name"],
+)
+def test_validate_rejects_malformed_arena(capsys, tmp_path, mutate):
+    data = _two_state_arena()
+    path = tmp_path / "arena.json"
+    path.write_text(json.dumps(data))
+    assert invoke_raw(capsys, "validate", "--arena", str(path))[0] == 0
+    mutate(data)
+    path.write_text(json.dumps(data))
+    code, out, err = invoke_raw(capsys, "validate", "--arena", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("dyncong: ") and err.count("\n") == 1

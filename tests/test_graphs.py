@@ -141,7 +141,7 @@ def test_dev_set_fig5(fig5, fig5_g3):
     assert len(devs) == 2
 
 
-def test_step_weights_are_permutation_equivariant(corpus):
+def test_step_is_permutation_equivariant(corpus):
     rng = random.Random(7)
     for _, game in corpus:
         if game.n < 2:

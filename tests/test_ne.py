@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from dyncong.arena import Game
+import dyncong.ne as ne
+from dyncong.arena import Game, serialize_arena
+from dyncong.cli import run
 from dyncong.costfn import kappa
 from dyncong.dynamics import BlindProfile, blind_ne, play_profile
-from dyncong.graphs import SemanticsError, path_from_configs
+from dyncong.graphs import SemanticsError, distributions, path_from_configs
 from dyncong.ne import (
     check_ne_outcome,
     compute_values,
@@ -14,7 +18,7 @@ from dyncong.ne import (
 from dyncong.oracle import brute_values
 from dyncong.socopt import social_optimum
 
-from corpus import trivial_arena
+from corpus import fig5_arena, random_arena, trivial_arena
 
 
 def _vs(arena, my, others):
@@ -235,3 +239,53 @@ def test_synthesize_requires_ne_outcome(fig1_g2, fig1_paths):
     )
     with pytest.raises(SemanticsError):
         synthesize_ne_profile(fig1_g2, bad)
+
+
+def _first_maximizer(game, values, own, counts):
+    """The first coalition distribution, in canonical order, whose best
+    response meets the value; recomputed from the values alone."""
+    arena = game.arena
+    for dist, _, nxt in distributions(arena, counts):
+        response = min(
+            fn(1 + dist.get((own, succ), 0)) + values[(succ, nxt)]
+            for succ, fn in arena.out[own]
+        )
+        if response == values[(own, counts)]:
+            return dist
+    return None
+
+
+def test_values_match_oracle_on_random_arenas():
+    rng = random.Random(4)
+    for trial in range(24):
+        game = Game(random_arena(rng), rng.randint(1, 3))
+        horizon = 2 * len(game.arena.states)
+        brute = brute_values(game, horizon)
+        # One more step of lookahead is one more application of the one-step
+        # operator, so an unchanged table is its fixpoint: the exact values.
+        assert brute_values(game, horizon + 1) == brute, trial
+        table = compute_values(game)
+        assert list(table.values) == list(brute), trial
+        for state, value in table.values.items():
+            assert brute[state] == value, (trial, state)
+            assert table.punish[state] == _first_maximizer(
+                game, table.values, *state), (trial, state)
+
+
+def test_nash_commands_solve_values_and_search_once(monkeypatch, tmp_path):
+    calls = {"values": 0, "explore": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ne, "compute_values", counting("values", ne.compute_values))
+    monkeypatch.setattr(ne, "_explore_ne_graph", counting("explore", ne._explore_ne_graph))
+    arena = tmp_path / "fig5.json"
+    arena.write_text(serialize_arena(fig5_arena()))
+    for command in (["ne", "--worst"], ["poa"], ["pos"]):
+        calls.update(values=0, explore=0)
+        assert run([*command, "--arena", str(arena), "--players", "3"]) == 0
+        assert calls == {"values": 1, "explore": 1}, command
