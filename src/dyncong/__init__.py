@@ -38,16 +38,12 @@ from .ne import (
 )
 from .socopt import constrained_social_optimum, social_optimum
 from .spe import (
-    CounterState,
     LambdaResult,
     check_spe_outcome,
     compute_lambda,
     constrained_spe,
-    counter_step,
     gamma_min_spe,
-    lambda_consistent_exists,
     spe_exists,
-    sup_cost,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -142,28 +142,19 @@ def cmd_validate(args):
 
 def cmd_so(args):
     game = _load_game(args)
-    if args.bound is not None:
+    if args.bound is None:
+        satisfied, result = True, social_optimum(game)
+        payload = {"command": "so"}
+    else:
         satisfied, result = constrained_social_optimum(game, args.bound)
         payload = {"command": "so", "satisfied": satisfied}
-        if satisfied:
-            costs, social, _ = eval_path(
-                game, [m for m, _, _ in result.witness.steps]
-            )
-            assert social == result.cost
-            payload["cost"] = result.cost
-            payload["witness"] = result.witness.to_json(game.arena)
-        _emit(payload, args)
-        return EXIT_OK if satisfied else EXIT_NO
-    result = social_optimum(game)
-    costs, social, _ = eval_path(game, [m for m, _, _ in result.witness.steps])
-    assert social == result.cost
-    payload = {
-        "command": "so",
-        "cost": result.cost,
-        "witness": result.witness.to_json(game.arena),
-    }
+    if satisfied:
+        _, social, _ = eval_path(game, [m for m, _, _ in result.witness.steps])
+        assert social == result.cost
+        payload["cost"] = result.cost
+        payload["witness"] = result.witness.to_json(game.arena)
     _emit(payload, args)
-    return EXIT_OK
+    return EXIT_OK if satisfied else EXIT_NO
 
 
 def cmd_blind_ne(args):
@@ -199,43 +190,49 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+def _value_entries(arena: Arena, values: dict) -> list[dict]:
+    """Value-table entries in key order, as ``values`` and ``oracle values``
+    print them."""
+    return [
+        {
+            "state": arena.states[own],
+            "coalition": {arena.states[v]: c for v, c in enumerate(counts) if c},
+            "value": _jsonable(value),
+        }
+        for (own, counts), value in sorted(values.items())
+    ]
+
+
 def cmd_values(args):
     game = _load_game(args)
-    table = compute_values(game)
-    arena = game.arena
-    entries = []
-    for (own, counts), value in sorted(table.values.items()):
-        entries.append(
-            {
-                "state": arena.states[own],
-                "coalition": {
-                    arena.states[v]: c for v, c in enumerate(counts) if c
-                },
-                "value": value,
-            }
-        )
+    entries = _value_entries(game.arena, compute_values(game).values)
     _emit({"command": "values", "values": entries}, args)
     return EXIT_OK
+
+
+def _emit_optimum(payload, args, game: Game, gamma, cost, witness):
+    """Appends gamma, cost, social cost and witness to ``payload``, plus the
+    ``--bound`` verdict when one is given; emits it and returns the exit
+    code."""
+    _, social, _ = eval_path(game, [m for m, _, _ in witness.steps])
+    payload.update({
+        "gamma": list(gamma),
+        "cost": cost,
+        "social": _jsonable(social),
+        "witness": witness.to_json(game.arena),
+    })
+    satisfied = args.bound is None or cost <= args.bound
+    if args.bound is not None:
+        payload["satisfied"] = satisfied
+    _emit(payload, args)
+    return EXIT_OK if satisfied else EXIT_NO
 
 
 def cmd_ne(args):
     game = _load_game(args)
     gamma = _parse_gamma(args, game.n)
     cost, witness = gamma_min_ne(game, gamma)
-    costs, social, _ = eval_path(game, [m for m, _, _ in witness.steps])
-    payload = {
-        "command": "ne",
-        "gamma": list(gamma),
-        "cost": cost,
-        "social": _jsonable(social),
-        "witness": witness.to_json(game.arena),
-    }
-    if args.bound is not None:
-        payload["satisfied"] = cost <= args.bound
-        _emit(payload, args)
-        return EXIT_OK if cost <= args.bound else EXIT_NO
-    _emit(payload, args)
-    return EXIT_OK
+    return _emit_optimum({"command": "ne"}, args, game, gamma, cost, witness)
 
 
 def cmd_check_ne(args):
@@ -274,21 +271,8 @@ def cmd_spe(args):
         _emit({"command": "spe", "exists": False}, args)
         return EXIT_NO
     cost, witness = found
-    costs, social, _ = eval_path(game, [m for m, _, _ in witness.steps])
-    payload = {
-        "command": "spe",
-        "exists": True,
-        "gamma": list(gamma),
-        "cost": cost,
-        "social": _jsonable(social),
-        "witness": witness.to_json(game.arena),
-    }
-    if args.bound is not None:
-        payload["satisfied"] = cost <= args.bound
-        _emit(payload, args)
-        return EXIT_OK if cost <= args.bound else EXIT_NO
-    _emit(payload, args)
-    return EXIT_OK
+    payload = {"command": "spe", "exists": True}
+    return _emit_optimum(payload, args, game, gamma, cost, witness)
 
 
 def cmd_check_spe(args):
@@ -335,32 +319,30 @@ def cmd_oracle(args):
         _emit(payload, args)
         return EXIT_OK
     game = _load_game(args)
+    for name in ("max_steps", "max_len", "horizon"):
+        if getattr(args, name, 0) < 0:
+            raise InputError(f"--{name.replace('_', '-')} must be at least 0")
     if args.oracle_cmd == "so":
-        cost = brute_social_optimum(game, args.max_steps)
+        try:
+            cost = brute_social_optimum(game, args.max_steps)
+        except ValueError as exc:
+            raise InputError(f"--max-steps: {exc}") from exc
         _emit({"command": "oracle so", "cost": cost}, args)
         return EXIT_OK
     if args.oracle_cmd == "br":
+        if not 1 <= args.player <= game.n:
+            raise InputError(f"--player must be between 1 and {game.n}")
         profile = _profile_from_json(game, _load_json(args.profile))
-        cost = brute_best_response(
-            game, profile, args.player - 1, args.max_len
-        )
+        try:
+            cost = brute_best_response(
+                game, profile, args.player - 1, args.max_len
+            )
+        except ValueError as exc:
+            raise InputError(f"--max-len: {exc}") from exc
         _emit({"command": "oracle br", "cost": cost}, args)
         return EXIT_OK
     if args.oracle_cmd == "values":
-        table = brute_values(game, args.horizon)
-        entries = []
-        for (own, counts), value in sorted(table.items()):
-            entries.append(
-                {
-                    "state": game.arena.states[own],
-                    "coalition": {
-                        game.arena.states[v]: c
-                        for v, c in enumerate(counts)
-                        if c
-                    },
-                    "value": _jsonable(value),
-                }
-            )
+        entries = _value_entries(game.arena, brute_values(game, args.horizon))
         _emit({"command": "oracle values", "values": entries}, args)
         return EXIT_OK
     if args.oracle_cmd == "ne-outcomes":

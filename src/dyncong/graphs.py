@@ -116,6 +116,17 @@ class OutcomePath:
         """Sum of the weights charged to ``player`` (0-based) along the path."""
         return sum(w[player] for _, w, _ in self.steps)
 
+    def suffix_costs(self) -> list[tuple[int, ...]]:
+        """Per-player cost of the path from each configuration on: entry l
+        belongs to configuration l, so the last entry is all zeros."""
+        suffix = (0,) * self.n()
+        suffixes = [suffix]
+        for _, weights, _ in reversed(self.steps):
+            suffix = tuple(s + w for s, w in zip(suffix, weights))
+            suffixes.append(suffix)
+        suffixes.reverse()
+        return suffixes
+
     def key(self):
         return (self.start, self.steps)
 
@@ -183,6 +194,22 @@ def path_from_configs(game: Game, configs: list[Config]) -> OutcomePath:
         weights, _ = step(game, cur, moves)
         steps.append((moves, weights, nxt))
     return OutcomePath(start=configs[0], steps=tuple(steps))
+
+
+def check_outcome_shape(game: Game, path: OutcomePath) -> None:
+    """Raises :class:`SemanticsError` unless the path is a play from the
+    initial to the target configuration whose weights and configurations
+    match the recomputed joint steps."""
+    if path.start != initial_config(game):
+        raise SemanticsError("path must start at the initial configuration")
+    if path.configs()[-1] != target_config(game):
+        raise SemanticsError("path must end with every player at the target")
+    config = path.start
+    for moves, weights, nxt in path.steps:
+        recomputed, result = step(game, config, moves)
+        if result != nxt or recomputed != tuple(weights):
+            raise SemanticsError("path weights or configurations are inconsistent")
+        config = nxt
 
 
 def eval_path(game: Game, moves_list) -> tuple[tuple, object, OutcomePath]:
@@ -401,6 +428,26 @@ def shortest_path(start, nodes, edges, weight_of, targets):
         cur = prev
     path.reverse()
     return dist[best], path
+
+
+def cheapest_outcome(game: Game, start, nodes, edges, gamma, targets):
+    """Gamma-cheapest play from ``start`` to a target of an explicit graph.
+
+    Nodes are tuples whose first entry is a configuration; ``edges`` are
+    ``(u, weights, v)`` triples, each weighed by gamma dot weights (see
+    :func:`shortest_path`).  Returns ``(cost, witness)`` with the node chain
+    lifted to an :class:`OutcomePath`, or None when no target is reachable.
+    """
+    found = shortest_path(
+        start, nodes, edges,
+        lambda w: sum(g * x for g, x in zip(gamma, w)),
+        targets,
+    )
+    if found is None:
+        return None
+    cost, chain = found
+    configs = [start[0]] + [v[0] for _, _, v in chain]
+    return cost, path_from_configs(game, configs)
 
 
 def lift_abstract_path(game: Game, dists: list[dict]) -> OutcomePath:

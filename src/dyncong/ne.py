@@ -29,14 +29,14 @@ from .graphs import (
     Config,
     OutcomePath,
     SemanticsError,
+    check_outcome_shape,
+    cheapest_outcome,
     dev_set,
     distributions,
     eval_path,
     initial_config,
     node_budget,
-    path_from_configs,
     reachable_graph,
-    shortest_path,
     step,
     target_config,
 )
@@ -217,19 +217,6 @@ def compute_values(game: Game) -> ValueTable:
     return ValueTable(values=table, punish=punish, ceiling=ceiling)
 
 
-def _check_path_shape(game: Game, path: OutcomePath):
-    if path.start != initial_config(game):
-        raise SemanticsError("path must start at the initial configuration")
-    if path.configs()[-1] != target_config(game):
-        raise SemanticsError("path must end with every player at the target")
-    config = path.start
-    for moves, weights, nxt in path.steps:
-        recomputed, result = step(game, config, moves)
-        if result != nxt or recomputed != tuple(weights):
-            raise SemanticsError("path weights or configurations are inconsistent")
-        config = nxt
-
-
 def check_ne_outcome(game: Game, path: OutcomePath, values: ValueTable | None = None) -> bool:
     """Whether the path is the outcome of some Nash equilibrium.
 
@@ -237,24 +224,16 @@ def check_ne_outcome(game: Game, path: OutcomePath, values: ValueTable | None = 
     cost is covered by the deviation's step cost plus the coalition value at
     the deviated configuration.
     """
-    _check_path_shape(game, path)
+    check_outcome_shape(game, path)
     if values is None:
         values = compute_values(game)
     num_states = len(game.arena.states)
     configs = path.configs()
-    n = game.n
-    suffix = [0] * n
-    suffixes = [tuple(suffix)]
-    for _, weights, _ in reversed(path.steps):
-        suffix = [s + w for s, w in zip(suffix, weights)]
-        suffixes.append(tuple(suffix))
-    suffixes.reverse()  # suffixes[l] = cost of the path from configuration l on
-
-    for l in range(len(path.steps)):
-        for i in range(n):
-            for dev, dev_cost in dev_set(game, configs[l], configs[l + 1], i):
+    for cur, nxt, suffix in zip(configs, configs[1:], path.suffix_costs()):
+        for i in range(game.n):
+            for dev, dev_cost in dev_set(game, cur, nxt, i):
                 bound = dev_cost + values.at_config(dev, i, num_states)
-                if suffixes[l][i] > bound:
+                if suffix[i] > bound:
                     return False
     return True
 
@@ -337,17 +316,11 @@ def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
     start, nodes, edges = _explore_ne_graph(game, values)
     tgt_cfg = target_config(game)
     targets = [node for node in nodes if node[0] == tgt_cfg]
-    result = shortest_path(
-        start, nodes, edges,
-        lambda w: sum(g * x for g, x in zip(gamma, w)),
-        targets,
-    )
-    assert result is not None, (
+    found = cheapest_outcome(game, start, nodes, edges, gamma, targets)
+    assert found is not None, (
         "equilibria always exist, so the target must be reachable"
     )
-    cost, path = result
-    configs = [start[0]] + [v[0] for _, _, v in path]
-    witness = path_from_configs(game, configs)
+    cost, witness = found
     assert check_ne_outcome(game, witness, values), (
         "witness from the equilibrium graph must itself pass the outcome check"
     )

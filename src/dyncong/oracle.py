@@ -97,14 +97,16 @@ def _all_blind_paths(arena, max_len: int):
 def brute_best_response(game: Game, profile: BlindProfile, player: int,
                         max_len: int) -> int:
     """Cheapest cost over every blind path of bounded length for ``player``,
-    with the other players' paths fixed."""
+    with the other players' paths fixed; ValueError when no blind path of
+    at most ``max_len`` edges reaches the target."""
     best = INF
     for edges in _all_blind_paths(game.arena, max_len):
         candidate = profile.replace(player, blind_strategy(game.arena, edges))
         costs, _, _ = play_profile(game, candidate)
         if costs[player] < best:
             best = costs[player]
-    assert best != INF
+    if best == INF:
+        raise ValueError(f"no blind path of at most {max_len} edges reaches the target")
     return best
 
 
@@ -177,30 +179,18 @@ def brute_ne_outcomes(game: Game, max_steps: int, horizon: int | None = None):
     outcomes = []
     seen = 0
 
-    def suffix_ok(configs):
-        weights_per_step = []
-        cfg = configs[0]
-        for nxt in configs[1:]:
-            w, _ = step(game, cfg, tuple(zip(cfg, nxt)))
-            weights_per_step.append(w)
-            cfg = nxt
-        n = game.n
-        suffix = [0] * n
-        suffixes = [tuple(suffix)]
-        for w in reversed(weights_per_step):
-            suffix = [s + x for s, x in zip(suffix, w)]
-            suffixes.append(tuple(suffix))
-        suffixes.reverse()
+    def suffix_ok(path):
         num_states = len(arena.states)
-        for l in range(len(configs) - 1):
-            for i in range(n):
-                for dev, dev_cost in dev_set(game, configs[l], configs[l + 1], i):
+        configs = path.configs()
+        for cur, nxt, suffix in zip(configs, configs[1:], path.suffix_costs()):
+            for i in range(game.n):
+                for dev, dev_cost in dev_set(game, cur, nxt, i):
                     counts = [0] * num_states
                     for j, s in enumerate(dev):
                         if j != i:
                             counts[s] += 1
                     bound = dev_cost + values[(dev[i], tuple(counts))]
-                    if suffixes[l][i] > bound:
+                    if suffix[i] > bound:
                         return False
         return True
 
@@ -211,8 +201,9 @@ def brute_ne_outcomes(game: Game, max_steps: int, horizon: int | None = None):
             raise BudgetExceeded("outcome enumeration above budget")
         current = configs[-1]
         if current == goal:
-            if suffix_ok(configs):
-                outcomes.append(path_from_configs(game, list(configs)))
+            path = path_from_configs(game, configs)
+            if suffix_ok(path):
+                outcomes.append(path)
             return
         if len(configs) - 1 == max_steps:
             return

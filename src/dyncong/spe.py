@@ -30,24 +30,17 @@ from .graphs import (
     OutcomePath,
     ReachableGraph,
     SemanticsError,
+    check_outcome_shape,
+    cheapest_outcome,
     dev_set,
     initial_config,
     node_budget,
-    path_from_configs,
     reachable_graph,
-    shortest_path,
-    step,
     target_config,
 )
 
 EdgeKey = tuple[Config, Config]
 LabelTable = dict[EdgeKey, tuple]  # per-edge tuple of per-player labels
-
-
-@dataclass(frozen=True)
-class CounterState:
-    config: Config
-    counters: tuple
 
 
 def region(game: Game, config: Config) -> int:
@@ -61,33 +54,6 @@ def initial_counters(game: Game, config: Config) -> tuple:
     return tuple(0 if s == tgt else INF for s in config)
 
 
-def counter_step(game: Game, state: CounterState, edge, labels: LabelTable):
-    """One counter-graph move; None when a counter would turn negative.
-
-    The source player's counter is zeroed once they sit on the target;
-    otherwise it becomes the minimum of the propagated budget and the edge's
-    label, both reduced by the weight just paid.  A -inf label poisons the
-    edge.
-    """
-    frm, nxt = edge
-    if state.config != frm:
-        raise SemanticsError("counter state and edge source differ")
-    weights, result = step(game, frm, tuple(zip(frm, nxt)))
-    assert result == nxt
-    label = labels[(frm, nxt)]
-    tgt = game.arena.tgt
-    counters = []
-    for i in range(game.n):
-        if frm[i] == tgt:
-            counters.append(0)
-            continue
-        value = min(state.counters[i], label[i]) - weights[i]
-        if value < 0:
-            return None
-        counters.append(value)
-    return CounterState(config=nxt, counters=tuple(counters))
-
-
 class CounterExploration:
     """Reachable part of a counter graph from a set of start configurations.
 
@@ -95,6 +61,11 @@ class CounterExploration:
     one SCC decomposition across all queries against the same label snapshot;
     per player it then answers "is there a valid path" and "what is the worst
     consistent cost" questions.
+
+    Nodes are ``(config, counters)``.  Along an edge, a player on the target
+    gets counter 0; any other counter becomes the minimum of itself and the
+    edge's label, less the weight just paid, and an edge that would turn a
+    counter negative is dropped (so a -inf label poisons the edge).
     """
 
     def __init__(self, game: Game, graph: ReachableGraph, labels: LabelTable,
@@ -168,27 +139,6 @@ class CounterExploration:
         """Whether the counter graph has a valid path from this start."""
         node = self.start_nodes[config]
         return node in self.coaccessible
-
-    def witness(self, config: Config):
-        """Configurations of a cheapest (by social cost) valid path from the
-        given start; None when no valid path exists."""
-        start = self.start_nodes[config]
-        if start not in self.coaccessible:
-            return None
-        if start in self.targets:
-            return [config]
-        edges = [
-            (node, weights, succ)
-            for node, succs in self.adjacency.items()
-            for weights, succ in succs
-            if node in self.coaccessible and succ in self.coaccessible
-        ]
-        found = shortest_path(
-            start, self.coaccessible, edges, sum, self.targets
-        )
-        assert found is not None, "coaccessible start must reach a target"
-        _, chain = found
-        return [start[0]] + [succ[0] for _, _, succ in chain]
 
     def _condense(self):
         """Tarjan SCCs (iterative) over the coaccessible subgraph, returned in
@@ -294,29 +244,6 @@ class CounterExploration:
             assert value >= 0, "coaccessible node must reach a target"
             result[node] = value
         return result
-
-
-def lambda_consistent_exists(game: Game, labels: LabelTable, config: Config,
-                             graph: ReachableGraph | None = None):
-    """Whether a label-consistent path from ``config`` to all-target exists;
-    returns the projected witness path as well."""
-    if graph is None:
-        graph = reachable_graph(game)
-    exploration = CounterExploration(game, graph, labels, [config])
-    if not exploration.valid_exists(config):
-        return False, None
-    configs = exploration.witness(config)
-    return True, path_from_configs(game, configs)
-
-
-def sup_cost(game: Game, labels: LabelTable, config: Config, player: int,
-             graph: ReachableGraph | None = None):
-    """Supremum of the player's cost over label-consistent paths from
-    ``config``; None when no such path exists."""
-    if graph is None:
-        graph = reachable_graph(game)
-    exploration = CounterExploration(game, graph, labels, [config])
-    return exploration.sup(config, player)
 
 
 @dataclass
@@ -448,45 +375,24 @@ def check_spe_outcome(game: Game, path: OutcomePath,
                       lam: LambdaResult | None = None) -> bool:
     """Whether the path is the outcome of a subgame-perfect equilibrium:
     every suffix cost must respect the fixpoint label of the edge taken."""
-    if path.start != initial_config(game):
-        raise SemanticsError("path must start at the initial configuration")
-    if path.configs()[-1] != target_config(game):
-        raise SemanticsError("path must end with every player at the target")
-    config = path.start
-    for moves, weights, nxt in path.steps:
-        recomputed, result = step(game, config, moves)
-        if result != nxt or recomputed != tuple(weights):
-            raise SemanticsError("path weights or configurations are inconsistent")
-        config = nxt
+    check_outcome_shape(game, path)
     if lam is None:
         lam = compute_lambda(game)
     configs = path.configs()
-    suffix = [0] * game.n
-    suffixes = [tuple(suffix)]
-    for _, weights, _ in reversed(path.steps):
-        suffix = [s + w for s, w in zip(suffix, weights)]
-        suffixes.append(tuple(suffix))
-    suffixes.reverse()
-    for l in range(len(path.steps)):
-        label = lam.labels[(configs[l], configs[l + 1])]
-        for i in range(game.n):
-            if suffixes[l][i] > label[i]:
-                return False
+    for cur, nxt, suffix in zip(configs, configs[1:], path.suffix_costs()):
+        label = lam.labels[(cur, nxt)]
+        if any(cost > bound for cost, bound in zip(suffix, label)):
+            return False
     return True
 
 
 def spe_exists(game: Game, lam: LambdaResult | None = None):
     """Whether the game admits any subgame-perfect equilibrium; with a
-    witness outcome when it does."""
-    if lam is None:
-        lam = compute_lambda(game)
-    ok, witness = lambda_consistent_exists(
-        game, lam.labels, initial_config(game), lam.graph
-    )
-    if not ok:
+    socially cheapest witness outcome when it does."""
+    found = gamma_min_spe(game, (1,) * game.n, lam)
+    if found is None:
         return False, None
-    assert check_spe_outcome(game, witness, lam)
-    return True, witness
+    return True, found[1]
 
 
 def gamma_min_spe(game: Game, gamma, lam: LambdaResult | None = None):
@@ -500,26 +406,22 @@ def gamma_min_spe(game: Game, gamma, lam: LambdaResult | None = None):
         lam = compute_lambda(game)
     start_cfg = initial_config(game)
     exploration = CounterExploration(game, lam.graph, lam.labels, [start_cfg])
+    coaccessible = exploration.coaccessible
     start = exploration.start_nodes[start_cfg]
-    if start not in exploration.coaccessible:
+    if start not in coaccessible:
         return None
     edges = [
         (node, weights, succ)
         for node, succs in exploration.adjacency.items()
+        if node in coaccessible
         for weights, succ in succs
-        if node in exploration.coaccessible and succ in exploration.coaccessible
+        if succ in coaccessible
     ]
-    found = shortest_path(
-        start,
-        exploration.coaccessible,
-        edges,
-        lambda w: sum(g * x for g, x in zip(gamma, w)),
-        exploration.targets,
+    found = cheapest_outcome(
+        game, start, coaccessible, edges, gamma, exploration.targets
     )
     assert found is not None, "coaccessible start must reach a target"
-    cost, chain = found
-    configs = [start[0]] + [succ[0] for _, _, succ in chain]
-    witness = path_from_configs(game, configs)
+    cost, witness = found
     assert check_spe_outcome(game, witness, lam), (
         "gamma-optimal witness must itself be label-consistent"
     )

@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyncong.arena import serialize_arena
 from dyncong.cli import run
@@ -385,6 +391,117 @@ def test_nash_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file):
     )
 
 
+# Stdout of the SPE commands before the NE and SPE solvers shared their
+# outcome check and witness search; both must leave these bytes unchanged.
+# The ``--dump-lambda`` files are pinned by their SHA-256 digest.
+SPE_BEST_W_FIG1_N2 = (
+    '{"steps": ['
+    '{"moves": [["src", "v1"], ["src", "v1"]], "weights": [2, 2], "config": ["v1", "v1"]}, '
+    '{"moves": [["v1", "v2"], ["v1", "v3"]], "weights": [6, 3], "config": ["v2", "v3"]}, '
+    '{"moves": [["v2", "v3"], ["v3", "tgt"]], "weights": [1, 4], "config": ["v3", "tgt"]}, '
+    '{"moves": [["v3", "tgt"], ["tgt", "tgt"]], "weights": [4, 0], "config": ["tgt", "tgt"]}'
+    ']}'
+)
+SPE_WORST_W_FIG1_N2 = (
+    '{"steps": ['
+    '{"moves": [["src", "v2"], ["src", "v1"]], "weights": [5, 1], "config": ["v2", "v1"]}, '
+    '{"moves": [["v2", "v3"], ["v1", "v2"]], "weights": [1, 6], "config": ["v3", "v2"]}, '
+    '{"moves": [["v3", "tgt"], ["v2", "v3"]], "weights": [4, 1], "config": ["tgt", "v3"]}, '
+    '{"moves": [["tgt", "tgt"], ["v3", "tgt"]], "weights": [0, 4], "config": ["tgt", "tgt"]}'
+    ']}'
+)
+SPE_GAMMA_W_FIG1_N2 = (
+    '{"steps": ['
+    '{"moves": [["src", "v1"], ["src", "v1"]], "weights": [2, 2], "config": ["v1", "v1"]}, '
+    '{"moves": [["v1", "v3"], ["v1", "v2"]], "weights": [3, 6], "config": ["v3", "v2"]}, '
+    '{"moves": [["v3", "tgt"], ["v2", "v3"]], "weights": [4, 1], "config": ["tgt", "v3"]}, '
+    '{"moves": [["tgt", "tgt"], ["v3", "tgt"]], "weights": [0, 4], "config": ["tgt", "tgt"]}'
+    ']}'
+)
+SPE_BEST_W_FIG5_N3 = (
+    '{"steps": ['
+    '{"moves": [["q0", "q1"], ["q0", "q1"], ["q0", "q4"]], "weights": [4, 4, 3], "config": ["q1", "q1", "q4"]}, '
+    '{"moves": [["q1", "q2"], ["q1", "q5"], ["q4", "q5"]], "weights": [3, 1, 1], "config": ["q2", "q5", "q5"]}, '
+    '{"moves": [["q2", "q3"], ["q5", "q6"], ["q5", "q6"]], "weights": [3, 4, 4], "config": ["q3", "q6", "q6"]}, '
+    '{"moves": [["q3", "q7"], ["q6", "q7"], ["q6", "q7"]], "weights": [2, 4, 4], "config": ["q7", "q7", "q7"]}'
+    ']}'
+)
+SPE_WORST_W_FIG5_N3 = (
+    '{"steps": ['
+    '{"moves": [["q0", "q4"], ["q0", "q1"], ["q0", "q1"]], "weights": [3, 4, 4], "config": ["q4", "q1", "q1"]}, '
+    '{"moves": [["q4", "q5"], ["q1", "q2"], ["q1", "q5"]], "weights": [1, 3, 1], "config": ["q5", "q2", "q5"]}, '
+    '{"moves": [["q5", "q6"], ["q2", "q3"], ["q5", "q6"]], "weights": [4, 3, 4], "config": ["q6", "q3", "q6"]}, '
+    '{"moves": [["q6", "q7"], ["q3", "q7"], ["q6", "q7"]], "weights": [4, 2, 4], "config": ["q7", "q7", "q7"]}'
+    ']}'
+)
+SPE_GAMMA_W_FIG5_N3 = (
+    '{"steps": ['
+    '{"moves": [["q0", "q4"], ["q0", "q1"], ["q0", "q1"]], "weights": [3, 4, 4], "config": ["q4", "q1", "q1"]}, '
+    '{"moves": [["q4", "q5"], ["q1", "q5"], ["q1", "q2"]], "weights": [1, 1, 3], "config": ["q5", "q5", "q2"]}, '
+    '{"moves": [["q5", "q6"], ["q5", "q6"], ["q2", "q3"]], "weights": [4, 4, 3], "config": ["q6", "q6", "q3"]}, '
+    '{"moves": [["q6", "q7"], ["q6", "q7"], ["q3", "q7"]], "weights": [4, 4, 2], "config": ["q7", "q7", "q7"]}'
+    ']}'
+)
+
+
+def _spe_line(head, witness, tail=""):
+    return '{"command": "spe", "exists": true, ' + head + '"witness": ' + witness + tail + "}\n"
+
+
+SPE_PINS = [  # (arena, players, lambda digest, [(flags, exit code, stdout)])
+    ("fig1", 2, "344ae0f6543117a1d00731bcc3a405b66b02f85a73add46df1b87da5841c1eb9", [
+        (("--exists",), 0, _spe_line("", SPE_BEST_W_FIG1_N2)),
+        (("--best",), 0, _spe_line(
+            '"gamma": [1, 1], "cost": 22, "social": 22, ', SPE_BEST_W_FIG1_N2)),
+        (("--worst",), 0, _spe_line(
+            '"gamma": [-1, -1], "cost": -22, "social": 22, ', SPE_WORST_W_FIG1_N2)),
+        (("--gamma", "1,-1"), 0, _spe_line(
+            '"gamma": [1, -1], "cost": -4, "social": 22, ', SPE_GAMMA_W_FIG1_N2)),
+        (("--best", "--bound", "22"), 0, _spe_line(
+            '"gamma": [1, 1], "cost": 22, "social": 22, ', SPE_BEST_W_FIG1_N2,
+            ', "satisfied": true')),
+        (("--best", "--bound", "21"), 1, _spe_line(
+            '"gamma": [1, 1], "cost": 22, "social": 22, ', SPE_BEST_W_FIG1_N2,
+            ', "satisfied": false')),
+    ]),
+    ("fig5", 3, "3812ddb389fc094d03a0045d929c6f8ad4facfe397f4e4515b49648fa6741c78", [
+        (("--exists",), 0, _spe_line("", SPE_BEST_W_FIG5_N3)),
+        (("--best",), 0, _spe_line(
+            '"gamma": [1, 1, 1], "cost": 37, "social": 37, ', SPE_BEST_W_FIG5_N3)),
+        (("--worst",), 0, _spe_line(
+            '"gamma": [-1, -1, -1], "cost": -37, "social": 37, ', SPE_WORST_W_FIG5_N3)),
+        (("--gamma", "1,-1,1"), 0, _spe_line(
+            '"gamma": [1, -1, 1], "cost": 11, "social": 37, ', SPE_GAMMA_W_FIG5_N3)),
+        (("--best", "--bound", "37"), 0, _spe_line(
+            '"gamma": [1, 1, 1], "cost": 37, "social": 37, ', SPE_BEST_W_FIG5_N3,
+            ', "satisfied": true')),
+        (("--best", "--bound", "36"), 1, _spe_line(
+            '"gamma": [1, 1, 1], "cost": 37, "social": 37, ', SPE_BEST_W_FIG5_N3,
+            ', "satisfied": false')),
+    ]),
+]
+
+
+@pytest.mark.parametrize("arena, players, digest, queries", SPE_PINS,
+                         ids=["fig1-n2", "fig5-n3"])
+def test_spe_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file,
+                                 arena, players, digest, queries):
+    import hashlib
+
+    game = ("--arena", {"fig1": fig1_file, "fig5": fig5_file}[arena],
+            "--players", str(players))
+    dump = tmp_path / "lambda.json"
+    for flags, code, out in queries:
+        extra = ("--dump-lambda", str(dump)) if flags == ("--exists",) else ()
+        assert invoke_raw(capsys, "spe", *flags, *extra, *game)[:2] == (code, out)
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+    witness = json.loads(queries[0][2])["witness"]
+    outcome = _write_outcome(tmp_path, witness)
+    assert invoke_raw(capsys, "check-spe", *game, "--outcome", outcome)[:2] == (
+        0, '{"command": "check-spe", "accepted": true}\n'
+    )
+
+
 @pytest.mark.parametrize("family", ["x", "1,2"])
 def test_gen_partition_bad_family(capsys, family):
     code, out, err = invoke_raw(capsys, "oracle", "gen-partition", "--family", family)
@@ -492,3 +609,122 @@ def test_validate_rejects_malformed_arena(capsys, tmp_path, mutate):
     assert code == 2
     assert out == ""
     assert err.startswith("dyncong: ") and err.count("\n") == 1
+
+
+# Player 1 on src v1 v3 tgt, player 2 on src v1 v2 v3 tgt.
+FIG1_PROFILE = {"profile": [
+    [["src", "v1"], ["v1", "v3"], ["v3", "tgt"]],
+    [["src", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "tgt"]],
+]}
+
+
+def _fig1_profile(tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(FIG1_PROFILE))
+    return str(profile)
+
+
+def test_oracle_br(capsys, tmp_path, fig1_file):
+    # Against player 1 on src v1 v3 tgt, player 2 pays 2+6+1+4 = 13 on
+    # src v1 v2 v3 tgt (4 edges); within 3 edges src v2 v3 tgt costs
+    # 5+1+8 = 14 (shares v3 -> tgt) and src v1 v3 tgt 2+6+8 = 16.
+    game = ("--arena", fig1_file, "--players", "2", "--profile", _fig1_profile(tmp_path))
+    for max_len, cost in (("4", 13), ("3", 14)):
+        code, payload = invoke(
+            capsys, "oracle", "br", *game, "--player", "2", "--max-len", max_len
+        )
+        assert (code, payload["cost"]) == (0, cost)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("so", "--max-steps", "-1"),
+        ("so", "--max-steps", "2"),
+        ("ne-outcomes", "--max-steps", "-1"),
+        ("values", "--horizon", "-1"),
+        ("br", "--player", "0", "--max-len", "4"),
+        ("br", "--player", "-1", "--max-len", "4"),
+        ("br", "--player", "3", "--max-len", "4"),
+        ("br", "--player", "1", "--max-len", "-1"),
+        ("br", "--player", "1", "--max-len", "2"),
+    ],
+    ids=["so-negative", "so-too-short", "ne-outcomes-negative", "values-negative",
+         "br-player-0", "br-player-minus-1", "br-player-3", "br-negative",
+         "br-too-short"],
+)
+def test_oracle_rejects_out_of_range(capsys, tmp_path, fig1_file, argv):
+    extra = ("--profile", _fig1_profile(tmp_path)) if argv[0] == "br" else ()
+    code, out, err = invoke_raw(
+        capsys, "oracle", *argv, *extra, "--arena", fig1_file, "--players", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncong: ") and err.count("\n") == 1
+
+
+_FUZZ_KEYS = ["states", "source", "target", "edges", "from", "to", "cost",
+              "pieces", "from_load", "slope", "intercept", "value", "steps",
+              "moves", "weights", "config", "profile"]
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+    | st.sampled_from(["src", "v1", "v2", "v3", "tgt"]) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS) | st.text(max_size=2), inner,
+                      max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` with one nested value, at a random depth, replaced by
+    arbitrary JSON."""
+    data = copy.deepcopy(base)
+    node = data
+    while node:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        if not isinstance(node[key], (dict, list)) or draw(st.booleans()):
+            node[key] = draw(_FUZZ_JSON)
+            break
+        node = node[key]
+    return data
+
+
+_FUZZ_BASES = {
+    "arena": json.loads(serialize_arena(fig1_arena())),
+    "outcome": json.loads(SO_FIG1_N2)["witness"],
+    "profile": FIG1_PROFILE,
+}
+_FUZZ_COMMANDS = {  # file kind -> command lines, {} standing for the file
+    "arena": [["validate", "--arena", "{}"],
+              ["so", "--arena", "{}", "--players", "2"]],
+    "outcome": [[cmd, "--arena", "@fig1", "--players", "2", "--outcome", "{}"]
+                for cmd in ("check-ne", "check-spe")],
+    "profile": [["eval", "--arena", "@fig1", "--players", "2", "--profile", "{}"]],
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_FUZZ_BASES)).flatmap(
+    lambda kind: st.tuples(st.just(kind),
+                           _FUZZ_JSON | _mutated(_FUZZ_BASES[kind]))
+))
+def test_cli_exit_codes_on_arbitrary_json(case):
+    """Arbitrary JSON, or a valid file with one value replaced, as the arena,
+    outcome or profile file: ``cli.run`` returns an exit code, never raises."""
+    kind, document = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"{}": os.path.join(tmp, "input.json"),
+                 "@fig1": os.path.join(tmp, "fig1.json")}
+        with open(files["{}"], "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        with open(files["@fig1"], "w", encoding="utf-8") as handle:
+            handle.write(serialize_arena(fig1_arena()))
+        for argv in _FUZZ_COMMANDS[kind]:
+            argv = [files.get(arg, arg) for arg in argv]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+            assert code in (0, 1, 2, 3), (argv, document)

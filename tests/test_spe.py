@@ -11,20 +11,17 @@ from dyncong.graphs import (
     step,
     target_config,
 )
-from dyncong.ne import check_ne_outcome, compute_values
+from dyncong.ne import check_ne_outcome, compute_values, gamma_min_ne
 from dyncong.oracle import _all_moves
 from dyncong.spe import (
-    CounterState,
+    CounterExploration,
+    LambdaResult,
     check_spe_outcome,
     compute_lambda,
     constrained_spe,
-    counter_step,
     gamma_min_spe,
-    initial_counters,
-    lambda_consistent_exists,
     reachable_graph,
     spe_exists,
-    sup_cost,
 )
 
 from corpus import (
@@ -58,41 +55,38 @@ def _mu0_labels(game):
 # ---------------------------------------------------------------- counter ops
 
 
+def _counter_moves(game, labels, config):
+    """Counter-graph successors ``{next config: counters}`` of the start node
+    of ``config``."""
+    exploration = CounterExploration(game, reachable_graph(game), labels, [config])
+    node = exploration.start_nodes[config]
+    return {nxt: counters for _, (nxt, counters) in exploration.adjacency[node]}
+
+
 def test_counter_step_all_done(trivial):
     game = Game(trivial, 2)
     labels, _ = _mu0_labels(game)
     done = target_config(game)
-    state = CounterState(done, (0, 0))
-    nxt = counter_step(game, state, (done, done), labels)
-    assert nxt == CounterState(done, (0, 0))
+    assert _counter_moves(game, labels, done) == {done: (0, 0)}
 
 
 def test_counter_step_propagates_infinity(trivial):
     game = Game(trivial, 2)
     labels, _ = _mu0_labels(game)
-    start = initial_config(game)
-    state = CounterState(start, (INF, INF))
-    nxt = counter_step(game, state, (start, target_config(game)), labels)
-    assert nxt.counters == (INF, INF)
+    moves = _counter_moves(game, labels, initial_config(game))
+    assert moves == {target_config(game): (INF, INF)}
 
 
 def test_counter_step_rejects_negative(trivial):
     game = Game(trivial, 2)
     start = initial_config(game)
     goal = target_config(game)
-    labels = {(start, goal): (10, 10), (goal, goal): (0, 0)}
-    # weights on the shared edge are (2, 2); a budget of 1 is not enough
-    state = CounterState(start, (1, INF))
-    assert counter_step(game, state, (start, goal), labels) is None
-
-
-def test_counter_step_wrong_source(trivial):
-    game = Game(trivial, 2)
-    labels, _ = _mu0_labels(game)
-    goal = target_config(game)
-    state = CounterState(goal, (0, 0))
-    with pytest.raises(Exception):
-        counter_step(game, state, (initial_config(game), goal), labels)
+    # weights on the shared edge are (2, 2): a label of 2 leaves player 1 a
+    # zero budget, a label of 1 would turn it negative and drops the edge
+    labels = {(start, goal): (2, INF), (goal, goal): (0, 0)}
+    assert _counter_moves(game, labels, start) == {goal: (0, INF)}
+    labels[(start, goal)] = (1, INF)
+    assert _counter_moves(game, labels, start) == {}
 
 
 # ------------------------------------------------------------- consistency
@@ -100,26 +94,22 @@ def test_counter_step_wrong_source(trivial):
 
 def test_consistent_exists_at_target(fig1_g2):
     labels, graph = _mu0_labels(fig1_g2)
-    ok, witness = lambda_consistent_exists(
-        fig1_g2, labels, target_config(fig1_g2), graph
-    )
-    assert ok and witness.steps == ()
+    goal = target_config(fig1_g2)
+    exploration = CounterExploration(fig1_g2, graph, labels, [goal])
+    assert exploration.valid_exists(goal)
+    assert exploration.start_nodes[goal] in exploration.targets
 
 
 def test_consistent_exists_unconstrained(fig1_g2):
     labels, graph = _mu0_labels(fig1_g2)
-    ok, witness = lambda_consistent_exists(
-        fig1_g2, labels, initial_config(fig1_g2), graph
-    )
-    assert ok
-    assert witness.configs()[-1] == target_config(fig1_g2)
+    found = gamma_min_spe(fig1_g2, (1, 1), LambdaResult(labels, graph))
+    assert found is not None
+    assert found[1].configs()[-1] == target_config(fig1_g2)
 
 
 def test_consistent_exists_with_fixpoint_labels(fig1_g2):
     lam = compute_lambda(fig1_g2)
-    ok, witness = lambda_consistent_exists(
-        fig1_g2, lam.labels, initial_config(fig1_g2), lam.graph
-    )
+    ok, witness = spe_exists(fig1_g2, lam)
     assert ok
     assert sum(sum(w) for _, w, _ in witness.steps) <= 22
 
@@ -166,41 +156,48 @@ def brute_sup(game, labels, start, player, max_len):
     return best[0]
 
 
+def _sup(game, labels, graph, start, player):
+    return CounterExploration(game, graph, labels, [start]).sup(start, player)
+
+
 def test_sup_zero_when_player_done(fig1, fig1_g2):
     labels, graph = _mu0_labels(fig1_g2)
     start = cfg(fig1, "tgt", "v3")
-    assert sup_cost(fig1_g2, labels, start, 0, graph) == 0
+    assert _sup(fig1_g2, labels, graph, start, 0) == 0
 
 
 def test_sup_infinite_on_paid_cycle():
     game = Game(paid_wait_arena(), 2)
     labels, graph = _mu0_labels(game)
-    assert sup_cost(game, labels, initial_config(game), 0, graph) == INF
+    assert _sup(game, labels, graph, initial_config(game), 0) == INF
 
 
 def test_sup_finite_with_free_cycle():
     # waiting is free, so the worst consistent outcome is the joint crossing
     game = Game(free_wait_arena(), 2)
     labels, graph = _mu0_labels(game)
-    assert sup_cost(game, labels, initial_config(game), 0, graph) == 6
+    assert _sup(game, labels, graph, initial_config(game), 0) == 6
+
+
+def _assert_sup_matches_enumeration(game, labels, graph, max_len):
+    # one exploration from every start, as compute_lambda builds them
+    exploration = CounterExploration(game, graph, labels, graph.configs)
+    for start in graph.configs:
+        for player in range(game.n):
+            got = exploration.sup(start, player)
+            assert got == _sup(game, labels, graph, start, player), (start, player)
+            want = brute_sup(game, labels, start, player, max_len)
+            assert got == want, (start, player)
 
 
 def test_sup_matches_enumeration_unconstrained(fig1, fig1_g2):
     labels, graph = _mu0_labels(fig1_g2)
-    for start in graph.configs:
-        for player in range(fig1_g2.n):
-            got = sup_cost(fig1_g2, labels, start, player, graph)
-            want = brute_sup(fig1_g2, labels, start, player, 6)
-            assert got == want, (start, player)
+    _assert_sup_matches_enumeration(fig1_g2, labels, graph, 6)
 
 
 def test_sup_matches_enumeration_fixpoint_labels(fig1, fig1_g2):
     lam = compute_lambda(fig1_g2)
-    for start in lam.graph.configs:
-        for player in range(fig1_g2.n):
-            got = sup_cost(fig1_g2, lam.labels, start, player, lam.graph)
-            want = brute_sup(fig1_g2, lam.labels, start, player, 6)
-            assert got == want, (start, player)
+    _assert_sup_matches_enumeration(fig1_g2, lam.labels, lam.graph, 6)
 
 
 # ------------------------------------------------------------ label fixpoint
@@ -251,6 +248,8 @@ def test_spe_exists_fig5(fig5_g3):
     assert ok
     cost, witness = gamma_min_spe(fig5_g3, (1, 1, 1), lam)
     assert cost == 37
+    # NE social costs span 36..46 here and every SPE costs 37
+    _assert_spe_costs_within_ne(fig5_g3, lam, compute_values(fig5_g3))
 
 
 def test_check_spe_fig1_examples(fig1_g2, fig1_paths):
@@ -305,8 +304,6 @@ def _bounded_outcomes(game, max_steps):
 
 
 def test_counter_monotonicity_and_zero_counters(corpus):
-    from dyncong.spe import CounterExploration
-
     for name, game in corpus:
         lam = compute_lambda(game)
         exploration = CounterExploration(
@@ -326,7 +323,6 @@ def test_counter_monotonicity_and_zero_counters(corpus):
 
 def test_reachable_counter_states_within_bound(corpus):
     from dyncong.costfn import kappa
-    from dyncong.spe import CounterExploration
 
     for name, game in corpus:
         lam = compute_lambda(game)
@@ -352,16 +348,32 @@ def test_consistency_check_equals_counter_lifting(corpus):
     # counter propagation stays nonnegative all the way to the target.
     for name, game in corpus:
         lam = compute_lambda(game)
+        exploration = CounterExploration(
+            game, lam.graph, lam.labels, [initial_config(game)]
+        )
         for configs in _bounded_outcomes(game, 5):
             path = path_from_configs(game, list(configs))
-            state = CounterState(configs[0], initial_counters(game, configs[0]))
-            liftable = True
-            for cur, nxt in zip(configs, configs[1:]):
-                state = counter_step(game, state, (cur, nxt), lam.labels)
-                if state is None:
-                    liftable = False
+            node = exploration.start_nodes[configs[0]]
+            for nxt in configs[1:]:
+                by_config = {succ[0]: succ for _, succ in exploration.adjacency[node]}
+                node = by_config.get(nxt)
+                if node is None:
                     break
+            liftable = node is not None
             assert liftable == check_spe_outcome(game, path, lam), (name, configs)
+
+
+def _assert_spe_costs_within_ne(game, lam, values):
+    """Every SPE outcome is an NE outcome, so wherever an SPE exists:
+    best NE <= best SPE <= worst SPE <= worst NE (social costs)."""
+    ones, minus = (1,) * game.n, (-1,) * game.n
+    best_spe = gamma_min_spe(game, ones, lam)
+    if best_spe is None:
+        return
+    worst_spe = -gamma_min_spe(game, minus, lam)[0]
+    best_ne = gamma_min_ne(game, ones, values)[0]
+    worst_ne = -gamma_min_ne(game, minus, values)[0]
+    assert best_ne <= best_spe[0] <= worst_spe <= worst_ne
 
 
 def test_spe_outcomes_are_ne_outcomes(corpus):
@@ -372,6 +384,7 @@ def test_spe_outcomes_are_ne_outcomes(corpus):
             path = path_from_configs(game, list(configs))
             if check_spe_outcome(game, path, lam):
                 assert check_ne_outcome(game, path, values), (name, configs)
+        _assert_spe_costs_within_ne(game, lam, values)
 
 
 # -------------------------------------------------- one-shot deviation oracle
@@ -522,6 +535,7 @@ def test_spe_machinery_on_random_arenas():
         if ok:
             assert check_spe_outcome(game, witness, lam)
             assert ne_check(game, witness)
+        _assert_spe_costs_within_ne(game, lam, compute_values(game))
         if _is_dag(arena):
             horizon = len(arena.states)
             stable = oneshot_stable_sets(game, horizon)[initial_config(game)]
@@ -548,9 +562,5 @@ def test_sup_cost_on_random_dag_arenas():
             continue
         game = Game(arena, 2)
         labels, graph = _mu0_labels(game)
-        for start in graph.configs:
-            for player in range(game.n):
-                got = sup_cost(game, labels, start, player, graph)
-                want = brute_sup(game, labels, start, player, len(arena.states))
-                assert got == want, (start, player)
+        _assert_sup_matches_enumeration(game, labels, graph, len(arena.states))
         checked += 1
