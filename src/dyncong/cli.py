@@ -8,6 +8,7 @@ Stdout is deterministic for identical inputs; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -373,7 +374,10 @@ def _add_gamma_args(parser):
     parser.add_argument("--bound", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every
+    :func:`run` of the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="dyncong",
         description="Dynamic network congestion game solvers. Bound "

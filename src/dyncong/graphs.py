@@ -9,6 +9,7 @@ costs because all players are interchangeable.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from dataclasses import dataclass
@@ -43,6 +44,33 @@ def initial_config(game: Game) -> Config:
 
 def target_config(game: Game) -> Config:
     return (game.arena.tgt,) * game.n
+
+
+def target_distances(arena: Arena) -> list[int]:
+    """``dist_1(v)`` per state: the cheapest route to the target for a lone
+    player, under the load-one costs.  Costs are nonnegative and do not
+    decrease with load, so no play takes a player from v to the target for
+    less; the social optimum and the SPE counter graphs use it as a lower
+    bound.
+
+    Finite everywhere, because ``build_arena`` rejects a state that cannot
+    reach the target.
+    """
+    into: list[list[tuple[int, int]]] = [[] for _ in arena.states]
+    for (u, v), fn in arena.edges.items():
+        into[v].append((u, fn(1)))
+    dist: list = [None] * len(arena.states)
+    heap = [(0, arena.tgt)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if dist[v] is not None:
+            continue
+        dist[v] = d
+        for u, w in into[v]:
+            if dist[u] is None:
+                heapq.heappush(heap, (d + w, u))
+    assert None not in dist, "every state reaches the target"
+    return dist
 
 
 def moves_for(arena: Arena, config: Config):
@@ -376,8 +404,6 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     ``(distance, [(u, payload, v), ...])`` to the cheapest target, or None
     when no target is reachable.
     """
-    import heapq as _heapq
-
     adjacency: dict = {}
     for u, payload, v in edges:
         adjacency.setdefault(u, []).append((weight_of(payload), v, payload))
@@ -388,14 +414,14 @@ def shortest_path(start, nodes, edges, weight_of, targets):
         heap = [(0, 0, start)]
         counter = 1
         while heap:
-            d, _, u = _heapq.heappop(heap)
+            d, _, u = heapq.heappop(heap)
             if dist.get(u, INF) < d:
                 continue
             for z, v, payload in adjacency.get(u, []):
                 if d + z < dist.get(v, INF):
                     dist[v] = d + z
                     parent[v] = (u, payload)
-                    _heapq.heappush(heap, (d + z, counter, v))
+                    heapq.heappush(heap, (d + z, counter, v))
                     counter += 1
     else:
         order = list(nodes)

@@ -8,7 +8,8 @@ the heuristic
     h(a) = sum over states v of a_v * dist_1(v),
 
 where ``dist_1(v)`` is the cheapest route from v to the target for a lone
-player, under the load-one costs ``d_e(1)``; one reverse Dijkstra computes it.
+player, under the load-one costs ``d_e(1)``; one reverse Dijkstra
+(``graphs.target_distances``) computes it.
 The heuristic is consistent: a joint step from ``a`` to ``a'`` that puts
 ``c_e`` players on each edge ``e = (u, v)`` weighs
 ``w = sum_e c_e * d_e(c_e) >= sum_e c_e * d_e(1)``, because costs do not
@@ -48,7 +49,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .arena import Arena, Game
+from .arena import Game
 from .graphs import (
     INF,
     BudgetExceeded,
@@ -59,6 +60,7 @@ from .graphs import (
     parikh,
     initial_config,
     target_config,
+    target_distances,
 )
 
 
@@ -67,30 +69,6 @@ class SocialOptimum:
     cost: int
     abstract_path: tuple[tuple[int, ...], ...]
     witness: OutcomePath
-
-
-def target_distances(arena: Arena) -> list[int]:
-    """``dist_1(v)`` per state: the cheapest route to the target for a lone
-    player, under the load-one costs.
-
-    Finite everywhere, because ``build_arena`` rejects a state that cannot
-    reach the target.
-    """
-    into: list[list[tuple[int, int]]] = [[] for _ in arena.states]
-    for (u, v), fn in arena.edges.items():
-        into[v].append((u, fn(1)))
-    dist: list = [None] * len(arena.states)
-    heap = [(0, arena.tgt)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if dist[v] is not None:
-            continue
-        dist[v] = d
-        for u, w in into[v]:
-            if dist[u] is None:
-                heapq.heappush(heap, (d + w, u))
-    assert None not in dist, "every state reaches the target"
-    return dist
 
 
 class SuccessorFold:

@@ -37,6 +37,7 @@ from .graphs import (
     node_budget,
     reachable_graph,
     target_config,
+    target_distances,
 )
 
 EdgeKey = tuple[Config, Config]
@@ -64,8 +65,38 @@ class CounterExploration:
 
     Nodes are ``(config, counters)``.  Along an edge, a player on the target
     gets counter 0; any other counter becomes the minimum of itself and the
-    edge's label, less the weight just paid, and an edge that would turn a
-    counter negative is dropped (so a -inf label poisons the edge).
+    edge's label, less the weight just paid.  A valid path keeps every
+    counter nonnegative up to and including the step on which its player
+    enters the target, so a -inf label poisons the edge.
+
+    Only nodes that can still pay their way to the target are explored (the
+    admissible lower-bound pruning of A*, Hart, Nilsson and Raphael, 1968):
+    a successor is dropped when some counter it updates is below
+    ``dist1[state]``, the load-one distance of that player's new state to
+    the target (``graphs.target_distances``).  That is sound:
+
+    - ``validate_pieces`` makes costs nonnegative and non-decreasing in load,
+      so player i pays at least ``dist1[state_i]`` before reaching the
+      target;
+    - a counter only falls, by at least the weights paid, and must stay
+      >= 0 through the step that enters the target;
+    - so a pruned node is not coaccessible, and neither is anything reached
+      only through it.
+
+    ``dist1`` of the target is 0, so steps into the target keep the plain
+    nonnegativity test.  Pruning only ever removes non-coaccessible nodes,
+    and a node that is not coaccessible reaches none that is, so the forward
+    search meets the coaccessible nodes in the same order with or without
+    the prune.  Hence ``coaccessible``, :meth:`valid_exists`, :meth:`sup`,
+    the coaccessible part of ``adjacency`` and ``targets`` (the target nodes
+    in ``adjacency`` order) are those of the full counter graph, and
+    ``coaccessible`` is filled in the same order, so the witness search of
+    :func:`gamma_min_spe` breaks cost ties the same way.
+
+    ``counter_bound`` checks every counter of every explored edge, before the
+    prune test.  Pruned nodes are not expanded, but their counters obey the
+    bound too: a finite counter is at most some finite label it met (or an
+    initial 0), and ``compute_lambda`` asserts labels against the bound.
     """
 
     def __init__(self, game: Game, graph: ReachableGraph, labels: LabelTable,
@@ -73,6 +104,7 @@ class CounterExploration:
         self.game = game
         self.graph = graph
         self.labels = labels
+        dist1 = target_distances(game.arena)
         tgt_cfg = target_config(game)
         budget = node_budget()
         self.start_nodes = {
@@ -89,23 +121,21 @@ class CounterExploration:
             for nxt, weights in graph.successors(config):
                 label = labels[(config, nxt)]
                 updated = []
-                ok = True
+                keep = True
                 for i in range(game.n):
                     if config[i] == tgt:
                         updated.append(0)
                         continue
                     value = min(counters[i], label[i]) - weights[i]
-                    if value < 0:
-                        ok = False
-                        break
                     if counter_bound is not None and value != INF:
                         assert value <= counter_bound, (
                             "counter exceeded its stabilisation bound"
                         )
+                    if value < dist1[nxt[i]]:
+                        keep = False
                     updated.append(value)
-                if not ok:
-                    continue
-                succs.append((weights, (nxt, tuple(updated))))
+                if keep:
+                    succs.append((weights, (nxt, tuple(updated))))
             adjacency[node] = succs
             for _, nxt_node in succs:
                 if nxt_node not in seen:
@@ -121,7 +151,9 @@ class CounterExploration:
         for node, succs in adjacency.items():
             for _, nxt_node in succs:
                 incoming[nxt_node].append(node)
-        targets = {node for node in seen if node[0] == tgt_cfg}
+        targets = dict.fromkeys(
+            node for node in adjacency if node[0] == tgt_cfg
+        )
         coaccessible = set(targets)
         stack = list(targets)
         while stack:
@@ -306,10 +338,20 @@ def compute_lambda(game: Game) -> LambdaResult:
         if not edges:
             result.region_iterations[j] = 0
             continue
+        # Round-invariant: the sources, the start configurations of the
+        # counter graphs (every successor of a source) and each edge's
+        # per-player deviations (None for a player already on the target).
+        sources = list(dict.fromkeys(config for config, _ in edges))
+        starts = {nxt for _, nxt in edges}
+        deviations = {}
         for (config, nxt) in edges:
             labels[(config, nxt)] = tuple(
                 0 if config[i] == tgt else INF for i in range(n)
             )
+            deviations[(config, nxt)] = [
+                None if config[i] == tgt else dev_set(game, config, nxt, i)
+                for i in range(n)
+            ]
         iterations = 0
         while True:
             iterations += 1
@@ -317,30 +359,29 @@ def compute_lambda(game: Game) -> LambdaResult:
                 "label refinement missed its stabilisation bound"
             )
             snapshot = dict(labels)
-            starts = set()
-            for (config, _) in edges:
-                for succ, _ in graph.successors(config):
-                    starts.add(succ)
             bound = max(ceiling, _mu_bound(game, iterations, kap))
             exploration = CounterExploration(
                 game, graph, snapshot, starts, counter_bound=bound
             )
-            changed = False
-            for (config, nxt) in edges:
-                dead = any(
+            dead = {
+                config: any(
                     not exploration.valid_exists(succ)
                     for succ, _ in graph.successors(config)
                 )
+                for config in sources
+            }
+            changed = False
+            for (config, nxt) in edges:
                 values = []
-                for i in range(n):
-                    if config[i] == tgt:
+                for i, devs in enumerate(deviations[(config, nxt)]):
+                    if devs is None:
                         values.append(0)
                         continue
-                    if dead:
+                    if dead[config]:
                         values.append(NEG_INF)
                         continue
                     best = INF
-                    for dev, dev_cost in dev_set(game, config, nxt, i):
+                    for dev, dev_cost in devs:
                         worst = exploration.sup(dev, i)
                         assert worst is not None, (
                             "live source implies consistent continuations "

@@ -200,3 +200,28 @@ def random_arena(rng: random.Random) -> Arena:
     return build_arena(
         names, [(f, t, fn) for (f, t), fn in edges.items()], names[0], names[-1]
     )
+
+
+def grid_arena(k: int) -> Arena:
+    """The k x k benchmark grid: right and down edges, up-left back edges
+    with probability 0.3 and a paid wait loop on every non-target state,
+    with costs drawn from ``random.Random(k)``."""
+    rng = random.Random(k)
+    name = lambda r, c: f"r{r}c{c}"
+    tgt = name(k - 1, k - 1)
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            here = name(r, c)
+            if here == tgt:
+                continue
+            if c < k - 1:
+                edges.append((here, name(r, c + 1), linear(rng.randint(1, 3))))
+            if r < k - 1:
+                edges.append((here, name(r + 1, c),
+                              linear(rng.randint(1, 3), rng.randint(0, 2))))
+            if r > 0 and c > 0 and rng.random() < 0.3:
+                edges.append((here, name(r - 1, c - 1), constant(1)))
+            edges.append((here, here, constant(1)))
+    states = [name(r, c) for r in range(k) for c in range(k)]
+    return build_arena(states, edges, states[0], tgt)

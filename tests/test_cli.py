@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dyncong.arena import serialize_arena
 from dyncong.cli import run
 
-from corpus import fig1_arena, fig5_arena
+from corpus import fig1_arena, fig5_arena, grid_arena
 
 
 @pytest.fixture()
@@ -25,6 +25,13 @@ def fig1_file(tmp_path):
 def fig5_file(tmp_path):
     path = tmp_path / "fig5.json"
     path.write_text(serialize_arena(fig5_arena()))
+    return str(path)
+
+
+@pytest.fixture()
+def grid3_file(tmp_path):
+    path = tmp_path / "grid3.json"
+    path.write_text(serialize_arena(grid_arena(3)))
     return str(path)
 
 
@@ -443,6 +450,27 @@ SPE_GAMMA_W_FIG5_N3 = (
     ']}'
 )
 
+# On grid3 most counter nodes cannot pay their way to the target any more,
+# so these pin the SPE answers of a game where the counter graphs are pruned.
+SPE_BEST_W_GRID3_N2 = (
+    '{"steps": ['
+    '{"moves": [["r0c0", "r0c1"], ["r0c0", "r0c0"]], "weights": [1, 1], "config": ["r0c1", "r0c0"]}, '
+    '{"moves": [["r0c1", "r0c2"], ["r0c0", "r0c1"]], "weights": [1, 1], "config": ["r0c2", "r0c1"]}, '
+    '{"moves": [["r0c2", "r1c2"], ["r0c1", "r0c2"]], "weights": [4, 1], "config": ["r1c2", "r0c2"]}, '
+    '{"moves": [["r1c2", "r2c2"], ["r0c2", "r1c2"]], "weights": [3, 4], "config": ["r2c2", "r1c2"]}, '
+    '{"moves": [["r2c2", "r2c2"], ["r1c2", "r2c2"]], "weights": [0, 3], "config": ["r2c2", "r2c2"]}'
+    ']}'
+)
+SPE_WORST_W_GRID3_N2 = (
+    '{"steps": ['
+    '{"moves": [["r0c0", "r0c1"], ["r0c0", "r0c0"]], "weights": [1, 1], "config": ["r0c1", "r0c0"]}, '
+    '{"moves": [["r0c1", "r1c1"], ["r0c0", "r0c1"]], "weights": [4, 1], "config": ["r1c1", "r0c1"]}, '
+    '{"moves": [["r1c1", "r1c2"], ["r0c1", "r1c1"]], "weights": [1, 4], "config": ["r1c2", "r1c1"]}, '
+    '{"moves": [["r1c2", "r2c2"], ["r1c1", "r1c2"]], "weights": [3, 1], "config": ["r2c2", "r1c2"]}, '
+    '{"moves": [["r2c2", "r2c2"], ["r1c2", "r2c2"]], "weights": [0, 3], "config": ["r2c2", "r2c2"]}'
+    ']}'
+)
+
 
 def _spe_line(head, witness, tail=""):
     return '{"command": "spe", "exists": true, ' + head + '"witness": ' + witness + tail + "}\n"
@@ -479,17 +507,26 @@ SPE_PINS = [  # (arena, players, lambda digest, [(flags, exit code, stdout)])
             '"gamma": [1, 1, 1], "cost": 37, "social": 37, ', SPE_BEST_W_FIG5_N3,
             ', "satisfied": false')),
     ]),
+    ("grid3", 2, "59ef2fa3676d83927def36a7fd40e226b6247588657a354ad379adbbec3ec07d", [
+        (("--exists",), 0, _spe_line("", SPE_BEST_W_GRID3_N2)),
+        (("--best",), 0, _spe_line(
+            '"gamma": [1, 1], "cost": 19, "social": 19, ', SPE_BEST_W_GRID3_N2)),
+        (("--worst",), 0, _spe_line(
+            '"gamma": [-1, -1], "cost": -19, "social": 19, ', SPE_WORST_W_GRID3_N2)),
+        (("--gamma", "1,-1"), 0, _spe_line(
+            '"gamma": [1, -1], "cost": -1, "social": 19, ', SPE_WORST_W_GRID3_N2)),
+    ]),
 ]
 
 
 @pytest.mark.parametrize("arena, players, digest, queries", SPE_PINS,
-                         ids=["fig1-n2", "fig5-n3"])
+                         ids=["fig1-n2", "fig5-n3", "grid3-n2"])
 def test_spe_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file,
-                                 arena, players, digest, queries):
+                                 grid3_file, arena, players, digest, queries):
     import hashlib
 
-    game = ("--arena", {"fig1": fig1_file, "fig5": fig5_file}[arena],
-            "--players", str(players))
+    files = {"fig1": fig1_file, "fig5": fig5_file, "grid3": grid3_file}
+    game = ("--arena", files[arena], "--players", str(players))
     dump = tmp_path / "lambda.json"
     for flags, code, out in queries:
         extra = ("--dump-lambda", str(dump)) if flags == ("--exists",) else ()

@@ -3,13 +3,18 @@ import random
 from dyncong.arena import Game, build_arena
 from dyncong.costfn import kappa
 from dyncong.dynamics import BlindProfile, blind_strategy, play_profile
-from dyncong.graphs import distributions, eval_path, initial_config, parikh
+from dyncong.graphs import (
+    distributions,
+    eval_path,
+    initial_config,
+    parikh,
+    target_distances,
+)
 from dyncong.oracle import _all_blind_paths, brute_social_optimum
 from dyncong.socopt import (
     SuccessorFold,
     constrained_social_optimum,
     social_optimum,
-    target_distances,
 )
 
 from corpus import (

@@ -365,15 +365,17 @@ def test_consistency_check_equals_counter_lifting(corpus):
 
 def _assert_spe_costs_within_ne(game, lam, values):
     """Every SPE outcome is an NE outcome, so wherever an SPE exists:
-    best NE <= best SPE <= worst SPE <= worst NE (social costs)."""
+    best NE <= best SPE <= worst SPE <= worst NE (social costs).  Returns
+    those four costs, or None when no SPE exists."""
     ones, minus = (1,) * game.n, (-1,) * game.n
     best_spe = gamma_min_spe(game, ones, lam)
     if best_spe is None:
-        return
+        return None
     worst_spe = -gamma_min_spe(game, minus, lam)[0]
     best_ne = gamma_min_ne(game, ones, values)[0]
     worst_ne = -gamma_min_ne(game, minus, values)[0]
     assert best_ne <= best_spe[0] <= worst_spe <= worst_ne
+    return best_ne, best_spe[0], worst_spe, worst_ne
 
 
 def test_spe_outcomes_are_ne_outcomes(corpus):
@@ -385,6 +387,180 @@ def test_spe_outcomes_are_ne_outcomes(corpus):
             if check_spe_outcome(game, path, lam):
                 assert check_ne_outcome(game, path, values), (name, configs)
         _assert_spe_costs_within_ne(game, lam, values)
+
+
+def _ne_gap_games(seed, count):
+    """Seeded random two-player arenas whose NE social costs differ (best
+    NE < worst NE), each with its value table."""
+    import random
+
+    from corpus import random_arena
+
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        game = Game(random_arena(rng), 2)
+        values = compute_values(game)
+        best = gamma_min_ne(game, (1, 1), values)
+        worst = gamma_min_ne(game, (-1, -1), values)
+        if best is not None and best[0] < -worst[0]:
+            found.append((game, values))
+    return found
+
+
+def test_spe_invariants_on_games_with_ne_cost_gaps():
+    # On these games the NE costs spread, so the SPE costs have room to
+    # break the chain best NE <= best SPE <= worst SPE <= worst NE.
+    strict = 0
+    for game, values in _ne_gap_games(41, 8):
+        lam = compute_lambda(game)
+        ok, witness = spe_exists(game, lam)
+        if ok:
+            assert check_spe_outcome(game, witness, lam)
+            assert check_ne_outcome(game, witness, values)
+        for configs in _bounded_outcomes(game, 4):
+            path = path_from_configs(game, list(configs))
+            if check_spe_outcome(game, path, lam):
+                assert check_ne_outcome(game, path, values), configs
+        costs = _assert_spe_costs_within_ne(game, lam, values)
+        if costs is not None and costs[2] < costs[3]:
+            strict += 1
+    assert strict > 0  # some worst SPE is cheaper than the worst NE
+
+
+# ------------------------------------------------------- counter-graph pruning
+
+
+def _counter_reference(game, graph, labels):
+    """The counter graph from every configuration, with no pruning.
+
+    Returns its nodes, the start node of each configuration, the
+    coaccessible nodes, the successors of each node and, per player, the
+    worst cost from each coaccessible node.  Written apart from ``spe.py``:
+    a plain forward search, a backward search from the target nodes, and a
+    longest path that calls a cost unbounded when the node reaches a cycle
+    that charges the player.
+    """
+    tgt = game.arena.tgt
+    goal = target_config(game)
+    starts = {
+        c: (c, tuple(0 if s == tgt else INF for s in c)) for c in graph.configs
+    }
+    succs = {}
+    stack = list(starts.values())
+    while stack:
+        node = stack.pop()
+        if node in succs:
+            continue
+        config, counters = node
+        out = []
+        for nxt, weights in graph.successors(config):
+            label = labels[(config, nxt)]
+            updated = tuple(
+                0 if config[i] == tgt else min(counters[i], label[i]) - weights[i]
+                for i in range(game.n)
+            )
+            if min(updated) >= 0:
+                out.append((weights, (nxt, updated)))
+        succs[node] = out
+        stack.extend(succ for _, succ in out)
+
+    preds = {node: [] for node in succs}
+    for node, out in succs.items():
+        for _, succ in out:
+            preds[succ].append(node)
+    coaccessible = {node for node in succs if node[0] == goal}
+    stack = list(coaccessible)
+    while stack:
+        for prev in preds[stack.pop()]:
+            if prev not in coaccessible:
+                coaccessible.add(prev)
+                stack.append(prev)
+
+    edges = [
+        (node, weights, succ)
+        for node in coaccessible
+        for weights, succ in succs[node]
+        if succ in coaccessible
+    ]
+    reach = {}
+    for node in coaccessible:
+        seen, todo = {node}, [node]
+        while todo:
+            for _, succ in succs[todo.pop()]:
+                if succ in coaccessible and succ not in seen:
+                    seen.add(succ)
+                    todo.append(succ)
+        reach[node] = seen
+
+    worst = []
+    for i in range(game.n):
+        paid_cycles = [u for u, w, v in edges if w[i] > 0 and u in reach[v]]
+        value = {
+            node: INF if any(u in reach[node] for u in paid_cycles)
+            else (0 if node[0] == goal else NEG_INF)
+            for node in coaccessible
+        }
+        rounds = 0
+        changed = True
+        while changed:  # no charging cycle among finite nodes: terminates
+            rounds += 1
+            assert rounds <= len(coaccessible) + 1
+            changed = False
+            for u, w, v in edges:
+                if value[u] != INF and w[i] + value[v] > value[u]:
+                    value[u] = w[i] + value[v]
+                    changed = True
+        worst.append(value)
+    return set(succs), starts, coaccessible, succs, worst
+
+
+def _assert_pruning_changes_nothing(game, graph, labels):
+    nodes, starts, coaccessible, succs, worst = _counter_reference(
+        game, graph, labels
+    )
+    exploration = CounterExploration(game, graph, labels, graph.configs)
+    assert exploration.nodes <= nodes
+    assert exploration.coaccessible == coaccessible
+    goal = target_config(game)
+    assert set(exploration.targets) == {node for node in nodes if node[0] == goal}
+    # The stabilisation-bound assert never sees the counters of pruned nodes;
+    # they still stay within the largest finite label, which compute_lambda
+    # checks against the same bound.
+    finite = [
+        v for label in labels.values() for v in label if v not in (INF, NEG_INF)
+    ]
+    cap = max([0] + finite)
+    for _, counters in nodes:
+        assert all(c == INF or c <= cap for c in counters)
+    for node in coaccessible:
+        kept = [s for _, s in exploration.adjacency[node] if s in coaccessible]
+        assert kept == [s for _, s in succs[node] if s in coaccessible]
+    for config in graph.configs:
+        start = starts[config]
+        assert exploration.start_nodes[config] == start
+        assert exploration.valid_exists(config) == (start in coaccessible)
+        for i in range(game.n):
+            want = worst[i][start] if start in coaccessible else None
+            assert exploration.sup(config, i) == want, (config, i)
+    return len(nodes) - len(exploration.nodes)
+
+
+def test_pruned_counter_graph_matches_unpruned_reference(corpus):
+    import random
+
+    from corpus import random_arena
+
+    rng = random.Random(71)
+    games = [game for _, game in corpus]
+    games += [Game(random_arena(rng), 1 + k % 3) for k in range(30)]
+    pruned = 0
+    for game in games:
+        lam = compute_lambda(game)
+        pruned += _assert_pruning_changes_nothing(game, lam.graph, lam.labels)
+        labels, graph = _mu0_labels(game)
+        pruned += _assert_pruning_changes_nothing(game, graph, labels)
+    assert pruned > 0  # the comparison covers nodes the solver left out
 
 
 # -------------------------------------------------- one-shot deviation oracle
