@@ -238,7 +238,7 @@ def cmd_ne(args):
 
 def cmd_check_ne(args):
     game = _load_game(args)
-    path = path_from_json(game.arena, _load_json(args.outcome))
+    path = path_from_json(game, _load_json(args.outcome))
     accepted = check_ne_outcome(game, path)
     _emit({"command": "check-ne", "accepted": accepted}, args)
     return EXIT_OK if accepted else EXIT_NO
@@ -278,7 +278,7 @@ def cmd_spe(args):
 
 def cmd_check_spe(args):
     game = _load_game(args)
-    path = path_from_json(game.arena, _load_json(args.outcome))
+    path = path_from_json(game, _load_json(args.outcome))
     accepted = check_spe_outcome(game, path)
     _emit({"command": "check-spe", "accepted": accepted}, args)
     return EXIT_OK if accepted else EXIT_NO

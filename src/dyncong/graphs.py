@@ -180,17 +180,20 @@ def move_from_json(arena: Arena, move) -> Edge:
     return arena.index(move[0]), arena.index(move[1])
 
 
-def path_from_json(arena: Arena, data) -> OutcomePath:
+def path_from_json(game: Game, data) -> OutcomePath:
     """Reads the ``{"steps": [...]}`` form of :meth:`OutcomePath.to_json`.
 
-    Raises :class:`SemanticsError` for a malformed file or steps that do not
-    chain; unknown state names raise :class:`ArenaError`.
+    An empty ``steps`` list is the play that stays at the initial
+    configuration, which is how a game whose source is its target prints
+    its outcomes.  Raises :class:`SemanticsError` for a malformed file or
+    steps that do not chain; unknown state names raise :class:`ArenaError`.
     """
     if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
         raise SemanticsError("outcome must be an object with a 'steps' list")
     steps = data["steps"]
     if not steps:
-        raise SemanticsError("outcome path needs at least one step")
+        return OutcomePath(start=initial_config(game), steps=())
+    arena = game.arena
     built = []
     for entry in steps:
         if not (
@@ -398,41 +401,55 @@ def reachable_graph(game: Game) -> ReachableGraph:
 def shortest_path(start, nodes, edges, weight_of, targets):
     """Min-weight path in an explicit graph given as ``(u, payload, v)`` edges.
 
-    ``weight_of(payload)`` may be negative, in which case Bellman-Ford runs
-    for at most ``|nodes|`` rounds; in the graphs built here every cycle has
-    weight zero, so a round that still improves raises.  Returns
-    ``(distance, [(u, payload, v), ...])`` to the cheapest target, or None
-    when no target is reachable.
+    Nodes are numbered in the iteration order of ``nodes``; each keeps one
+    adjacency list, in edge order, of ``(weight, successor id, payload)``.
+    With nonnegative weights Dijkstra runs on heap keys ``(distance, push
+    counter)``.  ``weight_of(payload)`` may be negative, in which case
+    Bellman-Ford sweeps the nodes in that numbering for at most ``|nodes|``
+    rounds; in the graphs built here every cycle has weight zero, so a round
+    that still improves raises.  Both set a node's parent only on a strict
+    improvement.  Returns ``(distance, [(u, payload, v), ...])`` to the
+    cheapest target, the first of ``targets`` on ties, or None when no
+    target is reachable.
     """
-    adjacency: dict = {}
+    order = list(nodes)
+    index = {node: k for k, node in enumerate(order)}
+    adjacency: list[list] = [[] for _ in order]
+    negative = False
     for u, payload, v in edges:
-        adjacency.setdefault(u, []).append((weight_of(payload), v, payload))
-    negative = any(weight_of(p) < 0 for _, p, _ in edges)
-    dist = {start: 0}
-    parent: dict = {}
+        z = weight_of(payload)
+        if z < 0:
+            negative = True
+        adjacency[index[u]].append((z, index[v], payload))
+    source = index[start]
+    target_ids = [index[t] for t in targets]
+    del index  # the search needs ids only; this lowers its memory peak
+    dist = [INF] * len(order)
+    parent: list = [None] * len(order)
+    dist[source] = 0
     if not negative:
-        heap = [(0, 0, start)]
+        heap = [(0, 0, source)]
         counter = 1
         while heap:
             d, _, u = heapq.heappop(heap)
-            if dist.get(u, INF) < d:
+            if dist[u] < d:
                 continue
-            for z, v, payload in adjacency.get(u, []):
-                if d + z < dist.get(v, INF):
+            for z, v, payload in adjacency[u]:
+                if d + z < dist[v]:
                     dist[v] = d + z
                     parent[v] = (u, payload)
                     heapq.heappush(heap, (d + z, counter, v))
                     counter += 1
     else:
-        order = list(nodes)
         for _ in range(len(order) + 1):
             changed = False
-            for u in order:
-                if u not in dist:
+            for u, succs in enumerate(adjacency):
+                du = dist[u]
+                if du == INF:
                     continue
-                for z, v, payload in adjacency.get(u, []):
-                    if dist[u] + z < dist.get(v, INF):
-                        dist[v] = dist[u] + z
+                for z, v, payload in succs:
+                    if du + z < dist[v]:
+                        dist[v] = du + z
                         parent[v] = (u, payload)
                         changed = True
             if not changed:
@@ -442,15 +459,15 @@ def shortest_path(start, nodes, edges, weight_of, targets):
                 "relaxation kept improving: negative cycle, which the "
                 "residual-bound dynamics rule out"
             )
-    reached = [t for t in targets if t in dist]
+    reached = [t for t in target_ids if dist[t] != INF]
     if not reached:
         return None
     best = min(reached, key=lambda t: dist[t])
     path = []
     cur = best
-    while cur != start:
+    while cur != source:
         prev, payload = parent[cur]
-        path.append((prev, payload, cur))
+        path.append((order[prev], payload, order[cur]))
         cur = prev
     path.reverse()
     return dist[best], path

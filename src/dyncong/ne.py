@@ -11,15 +11,21 @@ each edge cost from a per-edge table; a sweep that changes nothing is the
 greatest fixpoint (see its docstring).  Optimal (best or worst) Nash
 equilibria come from a shortest-path search over the configuration graph
 augmented with per-player residual bounds that encode "no pending deviation
-is profitable".  Every command builds the table once and runs at most one
-such search, PoA and PoS included (:func:`equilibrium_ratio`).
+is profitable".  With nonnegative weights (best NE, PoS) that search runs on
+demand, A* under the load-one distance to the target followed by a bounded
+replay of the full-graph Dijkstra for the witness; a negative weight (worst
+NE, PoA, mixed gamma) explores the whole graph and runs Bellman-Ford, whose
+tie-breaks only the whole graph fixes (see :func:`gamma_min_ne`).  Every
+command builds the table once and runs one such search, PoA and PoS
+included (:func:`equilibrium_ratio`).
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arena import Game
 from .costfn import kappa
@@ -36,9 +42,11 @@ from .graphs import (
     eval_path,
     initial_config,
     node_budget,
+    path_from_configs,
     reachable_graph,
     step,
     target_config,
+    target_distances,
 )
 from .socopt import social_optimum
 
@@ -248,44 +256,63 @@ def deviation_floor(game: Game, values: ValueTable, config: Config,
     )
 
 
-def _explore_ne_graph(game: Game, values: ValueTable):
-    """Forward reachable part of the bound-augmented configuration graph.
+def _start_node(game: Game):
+    return (initial_config(game), (INF,) * game.n)
 
-    Nodes are ``(configuration, bounds)`` with bounds in [0, Y] or +inf; an
-    edge exists when every updated bound stays nonnegative.  Bounds above the
-    ceiling Y are clamped to Y, which is sound because no equilibrium suffix
-    costs more than Y.
+
+def _ne_successors(game: Game, values: ValueTable):
+    """Successor function of the bound-augmented configuration graph.
+
+    Nodes are ``(configuration, bounds)`` with bounds in [0, Y] or +inf.
+    ``successors(node)`` lists ``((nxt, bounds'), weights)`` in the order of
+    the configuration graph's transitions, keeping the edges on which every
+    updated bound stays nonnegative.  Bounds above the ceiling Y are clamped
+    to Y, which is sound because no equilibrium suffix costs more than Y.
+    Each configuration's transitions and deviation floors are worked out
+    once, on its first expansion.
     """
-    arena = game.arena
-    n = game.n
+    tgt = game.arena.tgt
     ceiling = values.ceiling
-    budget = node_budget()
     graph = reachable_graph(game)
-    floors: dict[tuple[Config, Config, int], int] = {}
+    # Per configuration, its transitions as (nxt, weights, caps) with
+    # caps_i = min(floor_i - w_i, Y): the new bound is min(b_i - w_i, caps_i)
+    # (b_i - w_i <= Y when b_i is finite).  A player on the target pays 0
+    # on its zero-cost loop and keeps bound 0, as a floor of 0 yields.  A
+    # transition with a negative cap is closed from every node.
+    options: dict[Config, list] = {}
 
     def successors(node):
         config, bounds = node
+        opts = options.get(config)
+        if opts is None:
+            opts = options[config] = []
+            for nxt, weights in graph.successors(config):
+                caps = tuple(
+                    0 if state == tgt else min(
+                        deviation_floor(game, values, config, nxt, i) - weights[i],
+                        ceiling,
+                    )
+                    for i, state in enumerate(config)
+                )
+                if min(caps) >= 0:
+                    opts.append((nxt, weights, caps))
         result = []
-        for nxt, weights in graph.successors(config):
-            updated = []
-            ok = True
-            for i in range(n):
-                if config[i] == arena.tgt:
-                    updated.append(0)
-                    continue
-                key = (config, nxt, i)
-                if key not in floors:
-                    floors[key] = deviation_floor(game, values, config, nxt, i)
-                b = min(bounds[i], floors[key]) - weights[i]
-                if b < 0:
-                    ok = False
-                    break
-                updated.append(min(b, ceiling))
-            if ok:
-                result.append(((nxt, tuple(updated)), weights))
+        for nxt, weights, caps in opts:
+            updated = tuple([min(b - w, c) for b, w, c in zip(bounds, weights, caps)])
+            if min(updated) >= 0:
+                result.append(((nxt, updated), weights))
         return result
 
-    start = (initial_config(game), (INF,) * n)
+    return successors
+
+
+def _explore_ne_graph(game: Game, values: ValueTable):
+    """Forward reachable part of the bound-augmented configuration graph
+    (:func:`_ne_successors`), as ``(start, nodes, edges)`` with edges
+    ``(node, weights, successor)`` in depth-first expansion order."""
+    successors = _ne_successors(game, values)
+    budget = node_budget()
+    start = _start_node(game)
     nodes = {start}
     frontier = [start]
     edges = []
@@ -301,26 +328,148 @@ def _explore_ne_graph(game: Game, values: ValueTable):
     return start, nodes, edges
 
 
+def _heuristic(game: Game, gamma):
+    """``h(config) = sum_i gamma_i * dist_1(config_i)``.
+
+    For gamma >= 0 it is admissible and consistent: a player at state v pays
+    at least ``dist_1(v)`` before reaching the target
+    (:func:`graphs.target_distances`), and one joint step charges player i
+    at least ``dist_1(c_i) - dist_1(c'_i)``.
+    """
+    dist1 = target_distances(game.arena)
+    return lambda config: sum(g * dist1[s] for g, s in zip(gamma, config))
+
+
+def _best_ne_cost(game: Game, gamma, successors) -> int:
+    """Least gamma-cost to the target configuration, for gamma >= 0, by A*
+    on heap keys ``(g + h, push counter)`` over on-demand successors.
+
+    ``h`` is consistent, so the first popped node at the target
+    configuration carries the optimum.
+    """
+    h = _heuristic(game, gamma)
+    tgt_cfg = target_config(game)
+    budget = node_budget()
+    start = _start_node(game)
+    best = {start: 0}
+    heap = [(h(start[0]), 0, 0, start)]
+    counter = 1
+    while heap:
+        _, _, d, node = heapq.heappop(heap)
+        if best[node] < d:
+            continue
+        if node[0] == tgt_cfg:
+            return d
+        for nxt, weights in successors(node):
+            cost = d + sum(g * w for g, w in zip(gamma, weights))
+            if cost < best.get(nxt, INF):
+                best[nxt] = cost
+                if len(best) > budget:
+                    raise BudgetExceeded("equilibrium graph above node budget")
+                heapq.heappush(heap, (cost + h(nxt[0]), counter, cost, nxt))
+                counter += 1
+    raise AssertionError("equilibria always exist, so the target must be reachable")
+
+
+def _best_ne_witness(game: Game, gamma, successors, optimum: int) -> OutcomePath:
+    """The full-graph Dijkstra witness, replayed with every push that cannot
+    lie on an optimal play (``d + z + h(v) > optimum``) skipped; see
+    :func:`gamma_min_ne` for why the witness is the same."""
+    h = _heuristic(game, gamma)
+    tgt_cfg = target_config(game)
+    budget = node_budget()
+    start = _start_node(game)
+    dist = {start: 0}
+    parent: dict = {}
+    heap = [(0, 0, start)]
+    counter = 1
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if dist[node] < d:
+            continue
+        if node[0] == tgt_cfg:
+            break
+        for nxt, weights in successors(node):
+            cost = d + sum(g * w for g, w in zip(gamma, weights))
+            if cost < dist.get(nxt, INF) and cost + h(nxt[0]) <= optimum:
+                dist[nxt] = cost
+                if len(dist) > budget:
+                    raise BudgetExceeded("equilibrium graph above node budget")
+                parent[nxt] = node
+                heapq.heappush(heap, (cost, counter, nxt))
+                counter += 1
+    else:
+        raise AssertionError("the replay must reach the target it was bounded by")
+    assert d == optimum, "the replay must find the A* optimum"
+    configs = [node[0]]
+    while node != start:
+        node = parent[node]
+        configs.append(node[0])
+    configs.reverse()
+    return path_from_configs(game, configs)
+
+
 def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
     """Cost and witness outcome of a gamma-minimal Nash equilibrium.
 
     ``gamma`` weights each player's cost in the objective; all-ones yields a
     best (socially cheapest) equilibrium, all-minus-ones a worst one, whose
     social cost is the negated result.
+
+    The witness is the path of a Dijkstra (gamma >= 0) or Bellman-Ford
+    search over the whole bound-augmented graph of
+    :func:`_explore_ne_graph`, and that is what gamma with a negative weight
+    still runs.  For gamma >= 0 the graph is never built:
+
+    - **Cost.** :func:`_best_ne_cost` runs A* with ``h = gamma . dist_1``,
+      consistent by :func:`_heuristic` (Hart, Nilsson and Raphael, 1968),
+      and gives the optimum C*.
+    - **Witness.** :func:`_best_ne_witness` replays the full-graph Dijkstra
+      (same successor order, heap keys ``(d, push counter)``, a parent set
+      only on a strict improvement) but skips every push with
+      ``d + z + h(v) > C*`` and stops when it pops the target.  A node v
+      with ``dist(v) + h(v) <= C*`` keeps its distance: each of its optimal
+      predecessors u has ``dist(u) + h(u) <= dist(u) + z + h(v) <= C*`` by
+      consistency, so the optimal pushes into v are all kept.  A skipped
+      push into v carries a larger distance than any kept one, so it never
+      decided whether a kept push was a strict improvement, and the pushes
+      of a node outside that set are all skipped.  The kept pushes thus
+      happen in the same relative order, keys compare as before, nodes pop
+      in the same relative order, and each node gets the same first optimal
+      predecessor as its parent.
+    - **One target.** Entering the target configuration leaves every bound
+      at 0, because the prescribed move is one of the deviations and the
+      target's value is 0.  So the target node is unique, and popping it
+      ends the search, unless the start is itself at the target
+      configuration: then both searches pop it first and the witness is the
+      empty play.
+
+    The worst and mixed witness cannot be replayed on demand this way: the
+    full-graph Bellman-Ford breaks ties by the iteration order of the node
+    set, which only the whole graph fixes, so those witnesses keep it.  A
+    start at the target configuration is listed first among its targets,
+    so there too the empty play wins the tie with the target loop.
     """
     gamma = tuple(gamma)
     if len(gamma) != game.n:
         raise SemanticsError("gamma must have one weight per player")
     if values is None:
         values = compute_values(game)
-    start, nodes, edges = _explore_ne_graph(game, values)
-    tgt_cfg = target_config(game)
-    targets = [node for node in nodes if node[0] == tgt_cfg]
-    found = cheapest_outcome(game, start, nodes, edges, gamma, targets)
-    assert found is not None, (
-        "equilibria always exist, so the target must be reachable"
-    )
-    cost, witness = found
+    if min(gamma) >= 0:
+        # The replay expands about the nodes the A* expanded.
+        successors = functools.cache(_ne_successors(game, values))
+        cost = _best_ne_cost(game, gamma, successors)
+        witness = _best_ne_witness(game, gamma, successors, cost)
+    else:
+        start, nodes, edges = _explore_ne_graph(game, values)
+        tgt_cfg = target_config(game)
+        targets = [node for node in nodes if node[0] == tgt_cfg]
+        targets.sort(key=lambda node: node != start)
+        found = cheapest_outcome(game, start, nodes, edges, gamma, targets)
+        assert found is not None, (
+            "equilibria always exist, so the target must be reachable"
+        )
+        cost, witness = found
     assert check_ne_outcome(game, witness, values), (
         "witness from the equilibrium graph must itself pass the outcome check"
     )
@@ -341,11 +490,19 @@ def equilibrium_ratio(game: Game, worst: bool):
     Returns ``(optimum, equilibrium, ratio)``: the social optimum, the social
     cost of the worst (or best) Nash equilibrium, and their exact quotient;
     ``ratio`` is None when it is infinite (zero optimum against a positive
-    equilibrium cost).
+    equilibrium cost).  The best cost needs no witness, so PoS runs the A*
+    of :func:`gamma_min_ne` alone.
     """
+    # Imported here, not at module level: ``fractions`` loads ``decimal``,
+    # about 0.4 MB of resident memory that no other command needs.
+    from fractions import Fraction
+
     optimum = social_optimum(game).cost
-    sign = -1 if worst else 1
-    equilibrium = sign * gamma_min_ne(game, (sign,) * game.n)[0]
+    if worst:
+        equilibrium = -gamma_min_ne(game, (-1,) * game.n)[0]
+    else:
+        successors = _ne_successors(game, compute_values(game))
+        equilibrium = _best_ne_cost(game, (1,) * game.n, successors)
     if optimum == 0:
         ratio = Fraction(1) if equilibrium == 0 else None
     else:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 from dyncong.arena import Arena, Game, build_arena
 from dyncong.costfn import constant, linear, threshold
+from dyncong.ne import compute_values, gamma_min_ne
 
 
 def fig1_arena() -> Arena:
@@ -200,6 +202,22 @@ def random_arena(rng: random.Random) -> Arena:
     return build_arena(
         names, [(f, t, fn) for (f, t), fn in edges.items()], names[0], names[-1]
     )
+
+
+@functools.cache
+def ne_gap_games(seed: int, count: int) -> list[tuple[Game, object]]:
+    """Seeded random two-player arenas whose NE social costs differ (best
+    NE < worst NE), each with its value table."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        game = Game(random_arena(rng), 2)
+        values = compute_values(game)
+        best = gamma_min_ne(game, (1, 1), values)
+        worst = gamma_min_ne(game, (-1, -1), values)
+        if best[0] < -worst[0]:
+            found.append((game, values))
+    return found
 
 
 def grid_arena(k: int) -> Arena:

@@ -383,7 +383,47 @@ POS_FIG5_N3 = (
 )
 
 
-def test_nash_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file):
+# On grid3 the best-equilibrium search skips most of the bound-augmented
+# graph, so these pin the Nash answers of a game where it prunes.  Recorded
+# before the on-demand searches replaced the full-graph ones.
+NE_BEST_GRID3_N2 = (
+    '{"command": "ne", "gamma": [1, 1], "cost": 19, "social": 19, "witness": {"steps": [{"moves": [["r0c0", "r0c1"], ["r0c0", "r0c0"]], "weights": [1, 1], "config": ["r0c1", "r0c0"]}, '
+    '{"moves": [["r0c1", "r0c2"], ["r0c0", "r0c1"]], "weights": [1, 1], "config": ["r0c2", "r0c1"]}, '
+    '{"moves": [["r0c2", "r1c2"], ["r0c1", "r0c2"]], "weights": [4, 1], "config": ["r1c2", "r0c2"]}, '
+    '{"moves": [["r1c2", "r2c2"], ["r0c2", "r1c2"]], "weights": [3, 4], "config": ["r2c2", "r1c2"]}, '
+    '{"moves": [["r2c2", "r2c2"], ["r1c2", "r2c2"]], "weights": [0, 3], "config": ["r2c2", "r2c2"]}]}}\n'
+)
+NE_WORST_GRID3_N2 = (
+    '{"command": "ne", "gamma": [-1, -1], "cost": -22, "social": 22, "witness": {"steps": [{"moves": [["r0c0", "r0c1"], ["r0c0", "r0c1"]], "weights": [2, 2], "config": ["r0c1", "r0c1"]}, '
+    '{"moves": [["r0c1", "r1c1"], ["r0c1", "r0c2"]], "weights": [4, 1], "config": ["r1c1", "r0c2"]}, '
+    '{"moves": [["r1c1", "r1c2"], ["r0c2", "r1c2"]], "weights": [1, 4], "config": ["r1c2", "r1c2"]}, '
+    '{"moves": [["r1c2", "r2c2"], ["r1c2", "r2c2"]], "weights": [4, 4], "config": ["r2c2", "r2c2"]}]}}\n'
+)
+NE_GAMMA21_GRID3_N2 = (
+    '{"command": "ne", "gamma": [2, 1], "cost": 28, "social": 19, "witness": {"steps": [{"moves": [["r0c0", "r0c1"], ["r0c0", "r0c0"]], "weights": [1, 1], "config": ["r0c1", "r0c0"]}, '
+    '{"moves": [["r0c1", "r0c2"], ["r0c0", "r0c1"]], "weights": [1, 1], "config": ["r0c2", "r0c1"]}, '
+    '{"moves": [["r0c2", "r1c2"], ["r0c1", "r0c2"]], "weights": [4, 1], "config": ["r1c2", "r0c2"]}, '
+    '{"moves": [["r1c2", "r2c2"], ["r0c2", "r1c2"]], "weights": [3, 4], "config": ["r2c2", "r1c2"]}, '
+    '{"moves": [["r2c2", "r2c2"], ["r1c2", "r2c2"]], "weights": [0, 3], "config": ["r2c2", "r2c2"]}]}}\n'
+)
+NE_GAMMA1M1_GRID3_N2 = (
+    '{"command": "ne", "gamma": [1, -1], "cost": -2, "social": 20, "witness": {"steps": [{"moves": [["r0c0", "r0c1"], ["r0c0", "r0c0"]], "weights": [1, 1], "config": ["r0c1", "r0c0"]}, '
+    '{"moves": [["r0c1", "r0c2"], ["r0c0", "r0c1"]], "weights": [1, 1], "config": ["r0c2", "r0c1"]}, '
+    '{"moves": [["r0c2", "r1c2"], ["r0c1", "r0c1"]], "weights": [4, 1], "config": ["r1c2", "r0c1"]}, '
+    '{"moves": [["r1c2", "r2c2"], ["r0c1", "r1c1"]], "weights": [3, 4], "config": ["r2c2", "r1c1"]}, '
+    '{"moves": [["r2c2", "r2c2"], ["r1c1", "r1c2"]], "weights": [0, 1], "config": ["r2c2", "r1c2"]}, '
+    '{"moves": [["r2c2", "r2c2"], ["r1c2", "r2c2"]], "weights": [0, 3], "config": ["r2c2", "r2c2"]}]}}\n'
+)
+POA_GRID3_N2 = (
+    '{"command": "poa", "social_optimum": 19, "worst_ne": 22, "ratio": {"num": 22, "den": 19}, "decimal": 1.1578947368421053}\n'
+)
+POS_GRID3_N2 = (
+    '{"command": "pos", "social_optimum": 19, "best_ne": 19, "ratio": {"num": 1, "den": 1}, "decimal": 1.0}\n'
+)
+
+
+def test_nash_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file,
+                                  grid3_file):
     game5 = ("--arena", fig5_file, "--players", "3")
     assert invoke_raw(capsys, "values", "--arena", fig1_file, "--players", "2")[:2] == (
         0, VALUES_FIG1_N2
@@ -394,6 +434,20 @@ def test_nash_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file):
     assert invoke_raw(capsys, "pos", *game5)[:2] == (0, POS_FIG5_N3)
     outcome = _write_outcome(tmp_path, json.loads(NE_BEST_FIG5_N3)["witness"])
     assert invoke_raw(capsys, "check-ne", *game5, "--outcome", outcome)[:2] == (
+        0, '{"command": "check-ne", "accepted": true}\n'
+    )
+    grid3 = ("--arena", grid3_file, "--players", "2")
+    for flags, out in [
+        (("ne", "--best"), NE_BEST_GRID3_N2),
+        (("ne", "--worst"), NE_WORST_GRID3_N2),
+        (("ne", "--gamma", "2,1"), NE_GAMMA21_GRID3_N2),
+        (("ne", "--gamma", "1,-1"), NE_GAMMA1M1_GRID3_N2),
+        (("poa",), POA_GRID3_N2),
+        (("pos",), POS_GRID3_N2),
+    ]:
+        assert invoke_raw(capsys, *flags, *grid3)[:2] == (0, out), flags
+    outcome = _write_outcome(tmp_path, json.loads(NE_BEST_GRID3_N2)["witness"])
+    assert invoke_raw(capsys, "check-ne", *grid3, "--outcome", outcome)[:2] == (
         0, '{"command": "check-ne", "accepted": true}\n'
     )
 
@@ -765,3 +819,25 @@ def test_cli_exit_codes_on_arbitrary_json(case):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = run(argv)
             assert code in (0, 1, 2, 3), (argv, document)
+
+
+@pytest.mark.parametrize("players", [1, 2, 3, 4])
+def test_source_at_target_witnesses_round_trip(capsys, tmp_path, players):
+    """When the source is the target every outcome is the empty play: each
+    solver prints it, and both outcome checks accept it back."""
+    arena = tmp_path / "at-target.json"
+    arena.write_text(json.dumps({
+        "states": ["t", "u"], "source": "t", "target": "t",
+        "edges": [{"from": "u", "to": "t",
+                   "cost": {"pieces": [{"from_load": 1, "slope": 1}]}}],
+    }))
+    game = ("--arena", str(arena), "--players", str(players))
+    for command in (("so",), ("ne", "--best"), ("ne", "--worst"), ("spe", "--exists")):
+        code, payload = invoke(capsys, *command, *game)
+        assert code == 0, command
+        assert payload["witness"] == {"steps": []}, command
+        outcome = _write_outcome(tmp_path, payload["witness"])
+        for check in ("check-ne", "check-spe"):
+            assert invoke_raw(capsys, check, *game, "--outcome", outcome)[:2] == (
+                0, '{"command": "%s", "accepted": true}\n' % check
+            ), (command, check)

@@ -1,3 +1,4 @@
+import heapq
 import json
 import random
 
@@ -15,7 +16,9 @@ from dyncong.graphs import (
     distributions,
     parikh,
     path_from_json,
+    shortest_path,
     step,
+    target_config,
 )
 
 from corpus import corpus_games, random_arena
@@ -213,5 +216,96 @@ def test_outcome_path_json_roundtrip(fig1, fig1_g2, fig1_paths):
     )
     data = path.to_json(fig1)
     assert data["steps"][0]["moves"] == [["src", "v1"], ["src", "v1"]]
-    again = path_from_json(fig1, json.loads(json.dumps(data)))
+    again = path_from_json(fig1_g2, json.loads(json.dumps(data)))
     assert again == path
+
+
+def _dict_shortest_path(start, nodes, edges, weight_of, targets):
+    """Reference: the dict-based search that the id-based
+    :func:`shortest_path` replaced, kept verbatim."""
+    adjacency: dict = {}
+    for u, payload, v in edges:
+        adjacency.setdefault(u, []).append((weight_of(payload), v, payload))
+    negative = any(weight_of(p) < 0 for _, p, _ in edges)
+    dist = {start: 0}
+    parent: dict = {}
+    if not negative:
+        heap = [(0, 0, start)]
+        counter = 1
+        while heap:
+            d, _, u = heapq.heappop(heap)
+            if dist.get(u, INF) < d:
+                continue
+            for z, v, payload in adjacency.get(u, []):
+                if d + z < dist.get(v, INF):
+                    dist[v] = d + z
+                    parent[v] = (u, payload)
+                    heapq.heappush(heap, (d + z, counter, v))
+                    counter += 1
+    else:
+        order = list(nodes)
+        for _ in range(len(order) + 1):
+            changed = False
+            for u in order:
+                if u not in dist:
+                    continue
+                for z, v, payload in adjacency.get(u, []):
+                    if dist[u] + z < dist.get(v, INF):
+                        dist[v] = dist[u] + z
+                        parent[v] = (u, payload)
+                        changed = True
+            if not changed:
+                break
+        else:
+            raise AssertionError("negative cycle")
+    reached = [t for t in targets if t in dist]
+    if not reached:
+        return None
+    best = min(reached, key=lambda t: dist[t])
+    path = []
+    cur = best
+    while cur != start:
+        prev, payload = parent[cur]
+        path.append((prev, payload, cur))
+        cur = prev
+    path.reverse()
+    return dist[best], path
+
+
+def _search_graphs(game):
+    """The explicit graphs the solvers search: the NE bound-augmented graph
+    and the SPE fixpoint counter graph from the initial configuration, each
+    as ``(start, nodes, edges, targets)``."""
+    from dyncong.ne import _explore_ne_graph, compute_values
+    from dyncong.spe import CounterExploration, compute_lambda
+
+    tgt = target_config(game)
+    start, nodes, edges = _explore_ne_graph(game, compute_values(game))
+    yield start, nodes, edges, [node for node in nodes if node[0] == tgt]
+    lam = compute_lambda(game)
+    exploration = CounterExploration(
+        game, lam.graph, lam.labels, [initial_config(game)]
+    )
+    co = exploration.coaccessible
+    start = exploration.start_nodes[initial_config(game)]
+    if start in co:
+        edges = [(u, w, v) for u, succs in exploration.adjacency.items() if u in co
+                 for w, v in succs if v in co]
+        yield start, co, edges, list(exploration.targets)
+
+
+def test_shortest_path_matches_dict_reference():
+    # Same distance and same path, ties included, for the Bellman-Ford
+    # gammas (all -1, alternating) and Dijkstra (all 1) on both graph kinds.
+    rng = random.Random(28)  # its largest NE graph has 4,121 edges
+    games = [game for _, game in corpus_games()]
+    games += [Game(random_arena(rng), 1 + k % 3) for k in range(20)]
+    for k, game in enumerate(games):
+        n = game.n
+        gammas = [(-1,) * n, tuple((-1) ** i for i in range(n)), (1,) * n]
+        for start, nodes, edges, targets in _search_graphs(game):
+            for gamma in gammas:
+                weigh = lambda w: sum(g * x for g, x in zip(gamma, w))
+                expected = _dict_shortest_path(start, nodes, edges, weigh, targets)
+                assert shortest_path(start, nodes, edges, weigh, targets) == expected, (
+                    k, gamma)

@@ -7,7 +7,13 @@ from dyncong.arena import Game, serialize_arena
 from dyncong.cli import run
 from dyncong.costfn import kappa
 from dyncong.dynamics import BlindProfile, blind_ne, play_profile
-from dyncong.graphs import SemanticsError, distributions, path_from_configs
+from dyncong.graphs import (
+    SemanticsError,
+    cheapest_outcome,
+    distributions,
+    path_from_configs,
+    target_config,
+)
 from dyncong.ne import (
     check_ne_outcome,
     compute_values,
@@ -18,7 +24,14 @@ from dyncong.ne import (
 from dyncong.oracle import brute_values
 from dyncong.socopt import social_optimum
 
-from corpus import fig5_arena, random_arena, trivial_arena
+from corpus import (
+    corpus_games,
+    fig5_arena,
+    grid_arena,
+    ne_gap_games,
+    random_arena,
+    trivial_arena,
+)
 
 
 def _vs(arena, my, others):
@@ -273,7 +286,9 @@ def test_values_match_oracle_on_random_arenas():
 
 
 def test_nash_commands_solve_values_and_search_once(monkeypatch, tmp_path):
-    calls = {"values": 0, "explore": 0}
+    # Each command runs exactly one NE search: the full-graph exploration for
+    # a worst equilibrium, the on-demand A* for a best one.
+    calls = {"values": 0, "explore": 0, "best": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -283,9 +298,46 @@ def test_nash_commands_solve_values_and_search_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ne, "compute_values", counting("values", ne.compute_values))
     monkeypatch.setattr(ne, "_explore_ne_graph", counting("explore", ne._explore_ne_graph))
+    monkeypatch.setattr(ne, "_best_ne_cost", counting("best", ne._best_ne_cost))
     arena = tmp_path / "fig5.json"
     arena.write_text(serialize_arena(fig5_arena()))
-    for command in (["ne", "--worst"], ["poa"], ["pos"]):
-        calls.update(values=0, explore=0)
+    searches = {
+        ("ne", "--worst"): {"explore": 1, "best": 0},
+        ("poa",): {"explore": 1, "best": 0},
+        ("pos",): {"explore": 0, "best": 1},
+        ("ne", "--best"): {"explore": 0, "best": 1},
+    }
+    for command, search in searches.items():
+        calls.update(values=0, explore=0, best=0)
         assert run([*command, "--arena", str(arena), "--players", "3"]) == 0
-        assert calls == {"values": 1, "explore": 1}, command
+        assert calls == {"values": 1, **search}, command
+
+
+def _full_graph_min_ne(game, gamma, values):
+    """The gamma-cheapest equilibrium over the whole bound-augmented graph:
+    the search a gamma with a negative weight runs, and the one every gamma
+    ran before the on-demand best-NE search."""
+    start, nodes, edges = ne._explore_ne_graph(game, values)
+    tgt = target_config(game)
+    targets = [node for node in nodes if node[0] == tgt]
+    targets.sort(key=lambda node: node != start)
+    return cheapest_outcome(game, start, nodes, edges, gamma, targets)
+
+
+def test_best_ne_search_matches_full_graph_search():
+    # Cost and witness of the A* plus bounded Dijkstra replay equal the
+    # full-graph Dijkstra's, ties included, for nonnegative gamma.
+    rng = random.Random(17)
+    games = [game for _, game in corpus_games()]
+    games += [game for game, _ in ne_gap_games(41, 8)]
+    games += [Game(random_arena(rng), 1 + k % 3) for k in range(30)]
+    games.append(Game(grid_arena(3), 2))
+    for k, game in enumerate(games):
+        values = compute_values(game)
+        n = game.n
+        for gamma in {(1,) * n, (0,) + (1,) * (n - 1), (2,) + (1,) * (n - 1)}:
+            expected = _full_graph_min_ne(game, gamma, values)
+            assert gamma_min_ne(game, gamma, values) == expected, (k, gamma)
+            assert ne._best_ne_cost(
+                game, gamma, ne._ne_successors(game, values)
+            ) == expected[0], (k, gamma)

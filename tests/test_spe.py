@@ -28,6 +28,7 @@ from corpus import (
     chain_arena,
     diamond_arena,
     free_wait_arena,
+    ne_gap_games,
     paid_wait_arena,
     shortcut_arena,
     threshold_arena,
@@ -389,30 +390,11 @@ def test_spe_outcomes_are_ne_outcomes(corpus):
         _assert_spe_costs_within_ne(game, lam, values)
 
 
-def _ne_gap_games(seed, count):
-    """Seeded random two-player arenas whose NE social costs differ (best
-    NE < worst NE), each with its value table."""
-    import random
-
-    from corpus import random_arena
-
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        game = Game(random_arena(rng), 2)
-        values = compute_values(game)
-        best = gamma_min_ne(game, (1, 1), values)
-        worst = gamma_min_ne(game, (-1, -1), values)
-        if best is not None and best[0] < -worst[0]:
-            found.append((game, values))
-    return found
-
-
 def test_spe_invariants_on_games_with_ne_cost_gaps():
     # On these games the NE costs spread, so the SPE costs have room to
     # break the chain best NE <= best SPE <= worst SPE <= worst NE.
     strict = 0
-    for game, values in _ne_gap_games(41, 8):
+    for game, values in ne_gap_games(41, 8):
         lam = compute_lambda(game)
         ok, witness = spe_exists(game, lam)
         if ok:
