@@ -5,6 +5,9 @@ profiles form a potential game: replacing one player's path changes the
 potential by exactly that player's cost difference, so repeatedly swapping in
 strictly cheaper best responses terminates in a blind Nash equilibrium, which
 is also a Nash equilibrium against arbitrary (history-dependent) deviations.
+Each best response is an A* search over a layered graph, one arena copy per
+step, under the load-one distance; ties fall to fewer edges, then to the
+smallest sequence of edge declaration indices.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 
 from .arena import Arena, Game
-from .graphs import Edge, eval_path
+from .graphs import Edge, eval_path, target_distances
 
 
 class StrategyError(ValueError):
@@ -120,79 +123,76 @@ def potential(game: Game, profile: BlindProfile) -> int:
     return total
 
 
-def best_response(game: Game, profile: BlindProfile, player: int):
-    """Cheapest blind strategy for ``player`` with the others' paths fixed.
+def _layered_search(arena: Arena, loads: list[dict[Edge, int]]):
+    """Cheapest strategy and its cost in a layered graph: one arena copy per
+    entry of ``loads``, in which an edge costs ``fn(load + 1)``, then a final
+    copy with single-user costs.  Each layer's charged weights are built once
+    per call, for its loaded edges only; ties break as the module says.
 
-    Searches a layered graph: one arena copy per step up to the profile
-    horizon, in which edges are pre-charged with the other players' loads
-    plus one, then a final copy with single-user costs for the steps after
-    everyone else has finished.  The result never needs more than
-    ``horizon + |V|`` edges.  Ties fall to fewer edges, then to the smallest
-    sequence of edge declaration indices.
+    The search is A* under the load-one distance h = ``target_distances``
+    with heap key ``(g + h(state), length, trail)``, and it returns the path
+    that Dijkstra under the key ``(g, length, trail)`` returns:
+    - costs do not decrease with load, so every layered weight is at least
+      the ``fn(1)`` that h is built from; h is consistent and 0 at the target;
+    - two paths to the same node end in the same state, so they have the same
+      h, and their A* keys compare exactly as their Dijkstra keys do;
+    - keys strictly increase along an edge, because the length grows by one;
+    - hence every node is first popped through the same lexicographically
+      least path, and so is the first target node popped.
     """
-    arena = game.arena
     if arena.src == arena.tgt:
         return blind_strategy(arena, ((arena.tgt, arena.tgt),)), 0
-    horizon = profile.horizon
+    horizon = len(loads)
     order = {edge: k for k, edge in enumerate(arena.edge_list)}
-
-    def out_edges(state: int, layer: int):
-        for succ, fn in arena.out[state]:
-            edge = (state, succ)
-            if layer <= horizon:
-                load = loads_at(profile, layer, skip=player).get(edge, 0)
-                weight = fn(load + 1)
-            else:
-                weight = fn(1)
-            yield edge, weight, min(layer + 1, horizon + 1)
-
-    start = (arena.src, 1)
-    heap = [(0, 0, (), start)]
+    options = [
+        [(succ, order[(state, succ)], fn(1)) for succ, fn in arena.out[state]]
+        for state in range(len(arena.states))
+    ]
+    layers = [
+        {order[e]: arena.edges[e](load + 1) for e, load in layer.items()}
+        for layer in loads
+    ] + [{}]
+    dist = target_distances(arena)
+    heap = [(dist[arena.src], 0, (), 0, arena.src, 0)]
     done = set()
     while heap:
-        cost, length, trail, node = heapq.heappop(heap)
-        if node in done:
+        _, length, trail, cost, state, layer = heapq.heappop(heap)
+        if (state, layer) in done:
             continue
-        done.add(node)
-        state, layer = node
+        done.add((state, layer))
         if state == arena.tgt:
             edges = tuple(arena.edge_list[k] for k in trail)
             assert len(edges) <= horizon + len(arena.states)
             return blind_strategy(arena, edges), cost
-        for edge, weight, nxt_layer in out_edges(state, layer):
-            nxt = (edge[1], nxt_layer)
-            if nxt in done:
+        charged, nxt_layer = layers[layer], min(layer + 1, horizon)
+        for succ, k, weight in options[state]:
+            if (succ, nxt_layer) in done:
                 continue
+            g = cost + charged.get(k, weight)
             heapq.heappush(
-                heap, (cost + weight, length + 1, trail + (order[edge],), nxt)
+                heap,
+                (g + dist[succ], length + 1, trail + (k,), g, succ, nxt_layer),
             )
-    raise AssertionError("target unreachable in layered graph")
+    raise AssertionError("target unreachable; the arena validator bars this")
+
+
+def best_response(game: Game, profile: BlindProfile, player: int):
+    """Cheapest blind strategy for ``player`` with the others' paths fixed.
+
+    The layered graph has one copy per step up to the profile horizon,
+    charged with the other players' loads at that step, then a copy for the
+    steps after everyone else has finished.  The result never needs more
+    than ``horizon + |V|`` edges.
+    """
+    loads = [
+        loads_at(profile, j, skip=player) for j in range(1, profile.horizon + 1)
+    ]
+    return _layered_search(game.arena, loads)
 
 
 def single_player_shortest(arena: Arena) -> BlindStrategy:
     """Lexicographically least cheapest src -> tgt path for a lone player."""
-    if arena.src == arena.tgt:
-        return blind_strategy(arena, ((arena.tgt, arena.tgt),))
-    order = {edge: k for k, edge in enumerate(arena.edge_list)}
-    heap = [(0, 0, (), arena.src)]
-    done = set()
-    while heap:
-        cost, length, trail, state = heapq.heappop(heap)
-        if state in done:
-            continue
-        done.add(state)
-        if state == arena.tgt:
-            return blind_strategy(
-                arena, tuple(arena.edge_list[k] for k in trail)
-            )
-        for succ, fn in arena.out[state]:
-            if succ in done:
-                continue
-            edge = (state, succ)
-            heapq.heappush(
-                heap, (cost + fn(1), length + 1, trail + (order[edge],), succ)
-            )
-    raise AssertionError("target unreachable; the arena validator bars this")
+    return _layered_search(arena, [])[0]
 
 
 def blind_ne(game: Game, initial: BlindProfile | None = None):

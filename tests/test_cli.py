@@ -452,6 +452,74 @@ def test_nash_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file,
     )
 
 
+# Stdout of the routing commands before best responses became A* searches
+# over per-call layer weights; the search must leave these bytes unchanged.
+# The long grid4 ``eval`` line is pinned by its SHA-256 digest.
+BLIND_NE_FIG1_N2 = (
+    '{"command": "blind-ne", "profile": ['
+    '[["src", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "tgt"]], '
+    '[["src", "v1"], ["v1", "v3"], ["v3", "tgt"]]], '
+    '"costs": [13, 9], "social": 22, "potential": 21, "improvement_steps": 1}\n'
+)
+EVAL_FIG1_N2 = (
+    '{"command": "eval", "costs": [13, 9], "social": 22, "potential": 21, "is_blind_ne": true, '
+    '"outcome": {"steps": ['
+    '{"moves": [["src", "v1"], ["src", "v1"]], "weights": [2, 2], "config": ["v1", "v1"]}, '
+    '{"moves": [["v1", "v2"], ["v1", "v3"]], "weights": [6, 3], "config": ["v2", "v3"]}, '
+    '{"moves": [["v2", "v3"], ["v3", "tgt"]], "weights": [1, 4], "config": ["v3", "tgt"]}, '
+    '{"moves": [["v3", "tgt"], ["tgt", "tgt"]], "weights": [4, 0], "config": ["tgt", "tgt"]}]}}\n'
+)
+BLIND_NE_FIG5_N3 = (
+    '{"command": "blind-ne", "profile": ['
+    '[["q0", "q1"], ["q1", "q2"], ["q2", "q3"], ["q3", "q7"]], '
+    '[["q0", "q4"], ["q4", "q5"], ["q5", "q6"], ["q6", "q7"]], '
+    '[["q0", "q1"], ["q1", "q5"], ["q5", "q6"], ["q6", "q7"]]], '
+    '"costs": [12, 12, 13], "social": 37, "potential": 31, "improvement_steps": 2}\n'
+)
+EVAL_FIG5_N3 = (
+    '{"command": "eval", "costs": [12, 12, 13], "social": 37, "potential": 31, "is_blind_ne": true, '
+    '"outcome": {"steps": ['
+    '{"moves": [["q0", "q1"], ["q0", "q4"], ["q0", "q1"]], "weights": [4, 3, 4], "config": ["q1", "q4", "q1"]}, '
+    '{"moves": [["q1", "q2"], ["q4", "q5"], ["q1", "q5"]], "weights": [3, 1, 1], "config": ["q2", "q5", "q5"]}, '
+    '{"moves": [["q2", "q3"], ["q5", "q6"], ["q5", "q6"]], "weights": [3, 4, 4], "config": ["q3", "q6", "q6"]}, '
+    '{"moves": [["q3", "q7"], ["q6", "q7"], ["q6", "q7"]], "weights": [2, 4, 4], "config": ["q7", "q7", "q7"]}]}}\n'
+)
+BLIND_NE_GRID4_N6 = (
+    '{"command": "blind-ne", "profile": ['
+    '[["r0c0", "r0c0"], ["r0c0", "r1c0"], ["r1c0", "r2c0"], ["r2c0", "r3c0"], ["r3c0", "r3c1"], ["r3c1", "r3c2"], ["r3c2", "r3c3"]], '
+    '[["r0c0", "r0c1"], ["r0c1", "r0c2"], ["r0c2", "r1c2"], ["r1c2", "r1c3"], ["r1c3", "r2c3"], ["r2c3", "r3c3"]], '
+    '[["r0c0", "r0c0"], ["r0c0", "r0c0"], ["r0c0", "r1c0"], ["r1c0", "r2c0"], ["r2c0", "r3c0"], ["r3c0", "r3c1"], ["r3c1", "r3c2"], ["r3c2", "r3c3"]], '
+    '[["r0c0", "r0c0"], ["r0c0", "r0c1"], ["r0c1", "r0c2"], ["r0c2", "r1c2"], ["r1c2", "r1c3"], ["r1c3", "r2c3"], ["r2c3", "r3c3"]], '
+    '[["r0c0", "r0c0"], ["r0c0", "r0c0"], ["r0c0", "r0c0"], ["r0c0", "r1c0"], ["r1c0", "r2c0"], ["r2c0", "r3c0"], ["r3c0", "r3c1"], ["r3c1", "r3c2"], ["r3c2", "r3c3"]], '
+    '[["r0c0", "r1c0"], ["r1c0", "r2c0"], ["r2c0", "r3c0"], ["r3c0", "r3c1"], ["r3c1", "r3c2"], ["r3c2", "r3c3"]]], '
+    '"costs": [12, 13, 13, 14, 14, 11], "social": 77, "potential": 77, "improvement_steps": 5}\n'
+)
+EVAL_GRID4_N6_SHA256 = "5d42424adbb516cd9017638830f53da0afef83844848231468f963200eea9fa2"  # 2039 bytes
+
+ROUTING_PINS = [  # (arena, players, blind-ne stdout, eval stdout or its digest)
+    ("fig1", 2, BLIND_NE_FIG1_N2, EVAL_FIG1_N2),
+    ("fig5", 3, BLIND_NE_FIG5_N3, EVAL_FIG5_N3),
+    ("grid4", 6, BLIND_NE_GRID4_N6, EVAL_GRID4_N6_SHA256),
+]
+
+
+@pytest.mark.parametrize("arena, players, blind, evaluated", ROUTING_PINS,
+                         ids=["fig1-n2", "fig5-n3", "grid4-n6"])
+def test_routing_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file,
+                                     arena, players, blind, evaluated):
+    import hashlib
+
+    files = {"fig1": fig1_file, "fig5": fig5_file, "grid4": tmp_path / "grid4.json"}
+    files["grid4"].write_text(serialize_arena(grid_arena(4)))
+    game = ("--arena", str(files[arena]), "--players", str(players))
+    assert invoke_raw(capsys, "blind-ne", *game)[:2] == (0, blind)
+    profile = tmp_path / "profile.json"
+    profile.write_text(blind)
+    code, out, _ = invoke_raw(capsys, "eval", *game, "--profile", str(profile))
+    assert code == 0
+    assert evaluated in (out, hashlib.sha256(out.encode()).hexdigest())
+
+
 # Stdout of the SPE commands before the NE and SPE solvers shared their
 # outcome check and witness search; both must leave these bytes unchanged.
 # The ``--dump-lambda`` files are pinned by their SHA-256 digest.

@@ -1,7 +1,9 @@
+import heapq
 import random
 
 import pytest
 
+from dyncong import dynamics
 from dyncong.arena import Game
 from dyncong.dynamics import (
     BlindProfile,
@@ -10,14 +12,21 @@ from dyncong.dynamics import (
     blind_ne,
     blind_strategy,
     is_blind_ne,
+    loads_at,
     play_profile,
     potential,
     single_player_shortest,
     strategy_from_states,
 )
-from dyncong.oracle import _all_blind_paths
+from dyncong.oracle import _all_blind_paths, brute_best_response
 
-from corpus import diamond_arena, random_arena
+from corpus import (
+    corpus_games,
+    diamond_arena,
+    grid_arena,
+    ne_gap_games,
+    random_arena,
+)
 
 
 def test_blind_strategy_validation(fig1):
@@ -144,3 +153,113 @@ def test_blind_ne_terminates_within_potential(corpus):
     for name, game in corpus:
         profile, swaps = blind_ne(game)
         assert is_blind_ne(game, profile), name
+
+
+def _reference_best_response(game, profile, player):
+    """The layered Dijkstra that ``best_response`` replaced, kept verbatim
+    as the reference for its strategy and cost."""
+    arena = game.arena
+    if arena.src == arena.tgt:
+        return blind_strategy(arena, ((arena.tgt, arena.tgt),)), 0
+    horizon = profile.horizon
+    order = {edge: k for k, edge in enumerate(arena.edge_list)}
+
+    def out_edges(state: int, layer: int):
+        for succ, fn in arena.out[state]:
+            edge = (state, succ)
+            if layer <= horizon:
+                load = loads_at(profile, layer, skip=player).get(edge, 0)
+                weight = fn(load + 1)
+            else:
+                weight = fn(1)
+            yield edge, weight, min(layer + 1, horizon + 1)
+
+    start = (arena.src, 1)
+    heap = [(0, 0, (), start)]
+    done = set()
+    while heap:
+        cost, length, trail, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        state, layer = node
+        if state == arena.tgt:
+            edges = tuple(arena.edge_list[k] for k in trail)
+            assert len(edges) <= horizon + len(arena.states)
+            return blind_strategy(arena, edges), cost
+        for edge, weight, nxt_layer in out_edges(state, layer):
+            nxt = (edge[1], nxt_layer)
+            if nxt in done:
+                continue
+            heapq.heappush(
+                heap, (cost + weight, length + 1, trail + (order[edge],), nxt)
+            )
+    raise AssertionError("target unreachable in layered graph")
+
+
+def _random_blind_path(arena, rng):
+    """A seeded random walk from the source to its first target visit."""
+    while True:
+        state, edges = arena.src, []
+        while len(edges) < 3 * len(arena.states):
+            succ, _ = rng.choice(arena.out[state])
+            edges.append((state, succ))
+            state = succ
+            if state == arena.tgt:
+                return blind_strategy(arena, edges)
+
+
+def _differential_games():
+    rng = random.Random(808)
+    games = [game for _, game in corpus_games()]
+    games += [Game(random_arena(rng), rng.randint(1, 4)) for _ in range(100)]
+    games += [Game(grid_arena(k), n) for k in (3, 4, 5) for n in (2, 5, 9)]
+    return games
+
+
+def test_best_response_matches_layered_dijkstra(monkeypatch):
+    """The A* best response returns the old Dijkstra's strategy and cost on
+    the shortest, blind-NE and randomly swapped profiles of every game, the
+    lone shortest path is the old Dijkstra's lone best response, and
+    best-response dynamics take the same swaps to the same profile."""
+    rng = random.Random(8)
+    compared = 0
+    for game in _differential_games():
+        lone = single_player_shortest(game.arena)
+        alone = (Game(game.arena, 1), BlindProfile((lone,)), 0)
+        assert _reference_best_response(*alone)[0] == lone
+        base = BlindProfile((lone,) * game.n)
+        found, swaps = blind_ne(game)
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "best_response", _reference_best_response)
+            assert blind_ne(game) == (found, swaps)
+        swapped = found
+        for _ in range(game.n):
+            swapped = swapped.replace(
+                rng.randrange(game.n), _random_blind_path(game.arena, rng)
+            )
+        for profile in (base, found, swapped):
+            for player in range(game.n):
+                assert best_response(game, profile, player) == (
+                    _reference_best_response(game, profile, player)
+                )
+                compared += 1
+    assert compared > 1000
+
+
+def test_best_response_matches_brute_force_on_ne_gap_games():
+    rng = random.Random(5)
+    for game, _ in ne_gap_games(41, 8):
+        arena = game.arena
+        found, _ = blind_ne(game)
+        paths = _all_blind_paths(arena, found.horizon)
+        swapped = found.replace(
+            rng.randrange(game.n), blind_strategy(arena, rng.choice(paths))
+        )
+        base = BlindProfile((single_player_shortest(arena),) * game.n)
+        for profile in (base, found, swapped):
+            limit = profile.horizon + len(arena.states)
+            for player in range(game.n):
+                assert best_response(game, profile, player)[1] == (
+                    brute_best_response(game, profile, player, limit)
+                )
