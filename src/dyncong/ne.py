@@ -11,12 +11,16 @@ each edge cost from a per-edge table; a sweep that changes nothing is the
 greatest fixpoint (see its docstring).  Optimal (best or worst) Nash
 equilibria come from a shortest-path search over the configuration graph
 augmented with per-player residual bounds that encode "no pending deviation
-is profitable".  With nonnegative weights (best NE, PoS) that search runs on
-demand, A* under the load-one distance to the target followed by a bounded
-replay of the full-graph Dijkstra for the witness; a negative weight (worst
-NE, PoA, mixed gamma) explores the whole graph and runs Bellman-Ford, whose
-tie-breaks only the whole graph fixes (see :func:`gamma_min_ne`).  Every
-command builds the table once and runs one such search, PoA and PoS
+is profitable".  The on-demand search is A* for every gamma, under a
+heuristic that charges the load-one distance to the target for a
+nonnegative weight and the residual bound for a negative one
+(:func:`_min_ne_search`).  PoA and PoS need only its cost; a best NE
+(gamma >= 0) takes its witness from a bounded replay of the full-graph
+Dijkstra.  A witness for a negative weight (worst NE, mixed gamma) still
+comes from exploring the whole graph and running Bellman-Ford, whose
+tie-breaks only the whole graph fixes (see :func:`gamma_min_ne`).  Each
+deviation floor is computed once per deviation class of a configuration.
+Every command builds the table once and runs one such search, PoA and PoS
 included (:func:`equilibrium_ratio`).
 """
 
@@ -37,8 +41,7 @@ from .graphs import (
     SemanticsError,
     check_outcome_shape,
     cheapest_outcome,
-    dev_set,
-    distributions,
+    compositions,
     eval_path,
     initial_config,
     node_budget,
@@ -65,13 +68,6 @@ class ValueTable:
     values: dict[ValueState, int]
     punish: dict[ValueState, dict]
     ceiling: int
-
-    def at_config(self, config: Config, player: int, num_states: int) -> int:
-        counts = [0] * num_states
-        for j, state in enumerate(config):
-            if j != player:
-                counts[state] += 1
-        return self.values[(config[player], tuple(counts))]
 
 
 def _coalition_states(game: Game):
@@ -143,8 +139,8 @@ def compute_values(game: Game) -> ValueTable:
     count_index = {counts: ci for ci, counts in enumerate(all_counts)}
     total = len(all_counts) * num_states
 
-    # Edge ids follow state order, then out-edge order: the key order of
-    # the distribution dicts, so punish dicts rebuild in that same order.
+    # Edge ids follow state order, then out-edge order, so punish dicts list
+    # their edges in that canonical order.
     edges = [(v, succ) for v in range(num_states) for succ, _ in arena.out[v]]
     edge_id = {edge: k for k, edge in enumerate(edges)}
     options = [
@@ -155,15 +151,29 @@ def compute_values(game: Game) -> ValueTable:
         ]
         for v in range(num_states)
     ]
-    # Per coalition state: (per-edge coalition loads, successor id base).
+    # Per coalition state: (per-edge coalition loads, successor id base), in
+    # ``distributions`` order, which ``punish`` keeps: the product over the
+    # occupied states of the ways to spread their players over their
+    # out-edges, each spread listed once as (edge id, count) pairs.
+    @functools.cache
+    def spreads(v, count):
+        return [
+            [(eid, c) for (_, _, eid), c in zip(options[v], combo) if c]
+            for combo in compositions(count, len(options[v]))
+        ]
+
     moves: list[list[tuple[tuple[int, ...], int]]] = []
     for counts in all_counts:
         row = []
-        for dist, _, nxt in distributions(arena, counts):
+        for parts in itertools.product(
+            *[spreads(v, c) for v, c in enumerate(counts) if c]
+        ):
             loads = [0] * len(edges)
-            for edge, count in dist.items():
-                loads[edge_id[edge]] = count
-            row.append((tuple(loads), count_index[nxt] * num_states))
+            nxt = [0] * num_states
+            for k, c in itertools.chain(*parts):
+                loads[k] = c
+                nxt[edges[k][1]] += c
+            row.append((tuple(loads), count_index[tuple(nxt)] * num_states))
         moves.append(row)
 
     hops = _hops_to_target(arena)
@@ -228,31 +238,43 @@ def compute_values(game: Game) -> ValueTable:
 def check_ne_outcome(game: Game, path: OutcomePath, values: ValueTable | None = None) -> bool:
     """Whether the path is the outcome of some Nash equilibrium.
 
-    Checks, for every player, step, and unilateral deviation, that the suffix
-    cost is covered by the deviation's step cost plus the coalition value at
-    the deviated configuration.
+    Checks, for every player and step, that the suffix cost is covered by
+    the player's :func:`deviation_floor` there: the cheapest unilateral
+    deviation's step cost plus the coalition value at the deviated
+    configuration.
     """
     check_outcome_shape(game, path)
     if values is None:
         values = compute_values(game)
-    num_states = len(game.arena.states)
     configs = path.configs()
     for cur, nxt, suffix in zip(configs, configs[1:], path.suffix_costs()):
         for i in range(game.n):
-            for dev, dev_cost in dev_set(game, cur, nxt, i):
-                bound = dev_cost + values.at_config(dev, i, num_states)
-                if suffix[i] > bound:
-                    return False
+            if suffix[i] > deviation_floor(game, values, cur, nxt, i):
+                return False
     return True
 
 
 def deviation_floor(game: Game, values: ValueTable, config: Config,
                     nxt: Config, player: int) -> int:
-    """Least cost ``player`` can secure by deviating from config => nxt."""
-    num_states = len(game.arena.states)
+    """Least cost ``player`` can secure by deviating from config => nxt.
+
+    A deviation along ``(config[player], s)`` pays that edge at one plus the
+    other players' load on it, then faces the coalition's value at ``nxt``
+    with the player moved to s.  The coalition counts are those of ``nxt``
+    without the player, whatever s is, so they are counted once.
+    """
+    arena = game.arena
+    here = config[player]
+    counts = [0] * len(arena.states)
+    loads = [0] * len(arena.states)  # other players' load on (here, s), by s
+    for j, (u, v) in enumerate(zip(config, nxt)):
+        if j != player:
+            counts[v] += 1
+            loads[v] += u == here
+    key = tuple(counts)
     return min(
-        cost + values.at_config(dev, player, num_states)
-        for dev, cost in dev_set(game, config, nxt, player)
+        fn(1 + loads[succ]) + values.values[(succ, key)]
+        for succ, fn in arena.out[here]
     )
 
 
@@ -268,8 +290,10 @@ def _ne_successors(game: Game, values: ValueTable):
     the configuration graph's transitions, keeping the edges on which every
     updated bound stays nonnegative.  Bounds above the ceiling Y are clamped
     to Y, which is sound because no equilibrium suffix costs more than Y.
-    Each configuration's transitions and deviation floors are worked out
-    once, on its first expansion.
+    Each configuration's transitions are worked out once, on its first
+    expansion.  A deviation floor depends on the transition only through
+    the other players' moves, so it is computed once per deviation class
+    ``(player, nxt without the player)`` of the configuration.
     """
     tgt = game.arena.tgt
     ceiling = values.ceiling
@@ -286,16 +310,17 @@ def _ne_successors(game: Game, values: ValueTable):
         opts = options.get(config)
         if opts is None:
             opts = options[config] = []
+            floors = {}  # per deviation class (player, nxt without them)
             for nxt, weights in graph.successors(config):
-                caps = tuple(
-                    0 if state == tgt else min(
-                        deviation_floor(game, values, config, nxt, i) - weights[i],
-                        ceiling,
-                    )
-                    for i, state in enumerate(config)
-                )
+                caps = []
+                for i, state in enumerate(config):
+                    cls = (i, nxt[:i] + nxt[i + 1:])
+                    if cls not in floors:
+                        floors[cls] = 0 if state == tgt else deviation_floor(
+                            game, values, config, nxt, i)
+                    caps.append(min(floors[cls] - weights[i], ceiling))
                 if min(caps) >= 0:
-                    opts.append((nxt, weights, caps))
+                    opts.append((nxt, weights, tuple(caps)))
         result = []
         for nxt, weights, caps in opts:
             updated = tuple([min(b - w, c) for b, w, c in zip(bounds, weights, caps)])
@@ -328,85 +353,90 @@ def _explore_ne_graph(game: Game, values: ValueTable):
     return start, nodes, edges
 
 
-def _heuristic(game: Game, gamma):
-    """``h(config) = sum_i gamma_i * dist_1(config_i)``.
+def _heuristic(game: Game, gamma, ceiling: int):
+    """``h(config, bounds) = sum over gamma_i >= 0 of gamma_i * dist_1(c_i)
+    + sum over gamma_i < 0 of gamma_i * min(b_i, Y)``, Y the value ceiling.
 
-    For gamma >= 0 it is admissible and consistent: a player at state v pays
+    A lower bound on the gamma-cost still to pay: a player at state v pays
     at least ``dist_1(v)`` before reaching the target
-    (:func:`graphs.target_distances`), and one joint step charges player i
-    at least ``dist_1(c_i) - dist_1(c'_i)``.
+    (:func:`graphs.target_distances`), and at most their bound b_i, since
+    each step leaves a nonnegative bound ``b'_i <= b_i - w_i``.  See
+    :func:`_min_ne_search` for why it is consistent.
     """
     dist1 = target_distances(game.arena)
-    return lambda config: sum(g * dist1[s] for g, s in zip(gamma, config))
+
+    def h(node):
+        config, bounds = node
+        return sum(
+            g * (dist1[s] if g >= 0 else min(b, ceiling))
+            for g, s, b in zip(gamma, config, bounds)
+        )
+
+    return h
 
 
-def _best_ne_cost(game: Game, gamma, successors) -> int:
-    """Least gamma-cost to the target configuration, for gamma >= 0, by A*
-    on heap keys ``(g + h, push counter)`` over on-demand successors.
+def _min_ne_search(game: Game, gamma, values: ValueTable, successors,
+                   optimum=None):
+    """Gamma-cheapest play from the start to the target configuration over
+    on-demand successors, as ``(cost, witness)``, for any gamma.
 
-    ``h`` is consistent, so the first popped node at the target
-    configuration carries the optimum.
+    A* on heap keys ``(g + h, push counter)`` with h from :func:`_heuristic`;
+    a parent is set only on a strict improvement, so the witness is the
+    parent chain of the first popped target node.  h is consistent (Hart,
+    Nilsson and Raphael, 1968), so that node carries the optimum:
+
+    - take a step u -> v of weights w and cost ``z = gamma . w`` from a
+      node u other than the start.  Each gamma_i >= 0 term obeys
+      ``dist_1(c_i) <= w_i + dist_1(c'_i)``.  The bounds of u are finite,
+      so ``b_i <= Y`` and ``b'_i <= b_i - w_i``; with gamma_i < 0 that gives
+      ``gamma_i * b_i <= gamma_i * w_i + gamma_i * b'_i``.  Summed over the
+      players, ``h(u) <= z + h(v)``: every reduced cost is nonnegative;
+    - only the start has +inf bounds; it is popped first and never reached
+      again (every successor has finite bounds), so the steps out of it
+      need no such inequality;
+    - at the target configuration every bound is 0 and every ``dist_1`` is
+      0, so h = 0 there and the popped key is the cost itself.
+
+    Given the ``optimum``, it runs the witness replay of
+    :func:`gamma_min_ne` instead: Dijkstra on heap keys ``(g, push
+    counter)``, skipping every push with ``g + h > optimum``.
     """
-    h = _heuristic(game, gamma)
+    h = _heuristic(game, gamma, values.ceiling)
     tgt_cfg = target_config(game)
     budget = node_budget()
     start = _start_node(game)
     best = {start: 0}
-    heap = [(h(start[0]), 0, 0, start)]
+    parent: dict = {}
+    heap = [(0, 0, 0, start)]  # the start's key is never compared
     counter = 1
     while heap:
         _, _, d, node = heapq.heappop(heap)
         if best[node] < d:
             continue
         if node[0] == tgt_cfg:
-            return d
-        for nxt, weights in successors(node):
-            cost = d + sum(g * w for g, w in zip(gamma, weights))
-            if cost < best.get(nxt, INF):
-                best[nxt] = cost
-                if len(best) > budget:
-                    raise BudgetExceeded("equilibrium graph above node budget")
-                heapq.heappush(heap, (cost + h(nxt[0]), counter, cost, nxt))
-                counter += 1
-    raise AssertionError("equilibria always exist, so the target must be reachable")
-
-
-def _best_ne_witness(game: Game, gamma, successors, optimum: int) -> OutcomePath:
-    """The full-graph Dijkstra witness, replayed with every push that cannot
-    lie on an optimal play (``d + z + h(v) > optimum``) skipped; see
-    :func:`gamma_min_ne` for why the witness is the same."""
-    h = _heuristic(game, gamma)
-    tgt_cfg = target_config(game)
-    budget = node_budget()
-    start = _start_node(game)
-    dist = {start: 0}
-    parent: dict = {}
-    heap = [(0, 0, start)]
-    counter = 1
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if dist[node] < d:
-            continue
-        if node[0] == tgt_cfg:
             break
         for nxt, weights in successors(node):
             cost = d + sum(g * w for g, w in zip(gamma, weights))
-            if cost < dist.get(nxt, INF) and cost + h(nxt[0]) <= optimum:
-                dist[nxt] = cost
-                if len(dist) > budget:
+            if cost < best.get(nxt, INF):
+                key = cost + h(nxt)
+                if optimum is not None:
+                    if key > optimum:
+                        continue
+                    key = cost
+                best[nxt] = cost
+                if len(best) > budget:
                     raise BudgetExceeded("equilibrium graph above node budget")
                 parent[nxt] = node
-                heapq.heappush(heap, (cost, counter, nxt))
+                heapq.heappush(heap, (key, counter, cost, nxt))
                 counter += 1
     else:
-        raise AssertionError("the replay must reach the target it was bounded by")
-    assert d == optimum, "the replay must find the A* optimum"
+        raise AssertionError("equilibria always exist, so the target must be reachable")
     configs = [node[0]]
     while node != start:
         node = parent[node]
         configs.append(node[0])
     configs.reverse()
-    return path_from_configs(game, configs)
+    return d, path_from_configs(game, configs)
 
 
 def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
@@ -416,17 +446,15 @@ def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
     best (socially cheapest) equilibrium, all-minus-ones a worst one, whose
     social cost is the negated result.
 
-    The witness is the path of a Dijkstra (gamma >= 0) or Bellman-Ford
-    search over the whole bound-augmented graph of
+    The printed witness is the path of a Dijkstra (gamma >= 0) or
+    Bellman-Ford search over the whole bound-augmented graph of
     :func:`_explore_ne_graph`, and that is what gamma with a negative weight
     still runs.  For gamma >= 0 the graph is never built:
 
-    - **Cost.** :func:`_best_ne_cost` runs A* with ``h = gamma . dist_1``,
-      consistent by :func:`_heuristic` (Hart, Nilsson and Raphael, 1968),
-      and gives the optimum C*.
-    - **Witness.** :func:`_best_ne_witness` replays the full-graph Dijkstra
-      (same successor order, heap keys ``(d, push counter)``, a parent set
-      only on a strict improvement) but skips every push with
+    - **Cost.** :func:`_min_ne_search` runs A* and gives the optimum C*.
+    - **Witness.** Given C*, :func:`_min_ne_search` replays the full-graph
+      Dijkstra (same successor order, heap keys ``(d, push counter)``, a
+      parent set only on a strict improvement) but skips every push with
       ``d + z + h(v) > C*`` and stops when it pops the target.  A node v
       with ``dist(v) + h(v) <= C*`` keeps its distance: each of its optimal
       predecessors u has ``dist(u) + h(u) <= dist(u) + z + h(v) <= C*`` by
@@ -444,11 +472,11 @@ def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
       configuration: then both searches pop it first and the witness is the
       empty play.
 
-    The worst and mixed witness cannot be replayed on demand this way: the
-    full-graph Bellman-Ford breaks ties by the iteration order of the node
-    set, which only the whole graph fixes, so those witnesses keep it.  A
-    start at the target configuration is listed first among its targets,
-    so there too the empty play wins the tie with the target loop.
+    The A* would give the cost for a negative weight too, but not the same
+    witness: the full-graph Bellman-Ford breaks ties by the iteration order
+    of the node set, which only the whole graph fixes, so those witnesses
+    keep it.  A start at the target configuration is listed first among its
+    targets, so there too the empty play wins the tie with the target loop.
     """
     gamma = tuple(gamma)
     if len(gamma) != game.n:
@@ -458,8 +486,9 @@ def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
     if min(gamma) >= 0:
         # The replay expands about the nodes the A* expanded.
         successors = functools.cache(_ne_successors(game, values))
-        cost = _best_ne_cost(game, gamma, successors)
-        witness = _best_ne_witness(game, gamma, successors, cost)
+        cost = _min_ne_search(game, gamma, values, successors)[0]
+        replayed, witness = _min_ne_search(game, gamma, values, successors, cost)
+        assert replayed == cost, "the replay must find the A* optimum"
     else:
         start, nodes, edges = _explore_ne_graph(game, values)
         tgt_cfg = target_config(game)
@@ -490,19 +519,24 @@ def equilibrium_ratio(game: Game, worst: bool):
     Returns ``(optimum, equilibrium, ratio)``: the social optimum, the social
     cost of the worst (or best) Nash equilibrium, and their exact quotient;
     ``ratio`` is None when it is infinite (zero optimum against a positive
-    equilibrium cost).  The best cost needs no witness, so PoS runs the A*
-    of :func:`gamma_min_ne` alone.
+    equilibrium cost).  No witness is printed, so both run the A* of
+    :func:`_min_ne_search` alone, with gamma all-minus-ones or all-ones,
+    and re-check its witness with :func:`check_ne_outcome`.
     """
     # Imported here, not at module level: ``fractions`` loads ``decimal``,
     # about 0.4 MB of resident memory that no other command needs.
     from fractions import Fraction
 
     optimum = social_optimum(game).cost
-    if worst:
-        equilibrium = -gamma_min_ne(game, (-1,) * game.n)[0]
-    else:
-        successors = _ne_successors(game, compute_values(game))
-        equilibrium = _best_ne_cost(game, (1,) * game.n, successors)
+    values = compute_values(game)
+    gamma = (-1 if worst else 1,) * game.n
+    cost, witness = _min_ne_search(
+        game, gamma, values, _ne_successors(game, values)
+    )
+    assert check_ne_outcome(game, witness, values), (
+        "witness from the equilibrium search must itself pass the outcome check"
+    )
+    equilibrium = -cost if worst else cost
     if optimum == 0:
         ratio = Fraction(1) if equilibrium == 0 else None
     else:

@@ -452,6 +452,45 @@ def test_nash_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file,
     )
 
 
+# Stdout of the bench's grid4 ratio and worst-NE queries and of its fig5 value
+# table, recorded before PoA became an A* search under a bound-aware
+# heuristic and the coalition move table stopped costing distributions.
+# The 470,094-byte ``values`` line is pinned by its SHA-256 digest.
+POA_GRID4_N2 = (
+    '{"command": "poa", "social_optimum": 23, "worst_ne": 27, "ratio": {"num": 27, "den": 23}, "decimal": 1.173913043478261}\n'
+)
+POS_GRID4_N2 = (
+    '{"command": "pos", "social_optimum": 23, "best_ne": 23, "ratio": {"num": 1, "den": 1}, "decimal": 1.0}\n'
+)
+NE_WORST_GRID4_N2 = (
+    '{"command": "ne", "gamma": [-1, -1], "cost": -27, "social": 27, "witness": {"steps": [{"moves": [["r0c0", "r1c0"], ["r0c0", "r1c0"]], "weights": [4, 4], "config": ["r1c0", "r1c0"]}, '
+    '{"moves": [["r1c0", "r2c0"], ["r1c0", "r1c0"]], "weights": [2, 1], "config": ["r2c0", "r1c0"]}, '
+    '{"moves": [["r2c0", "r3c0"], ["r1c0", "r2c0"]], "weights": [1, 2], "config": ["r3c0", "r2c0"]}, '
+    '{"moves": [["r3c0", "r3c1"], ["r2c0", "r3c0"]], "weights": [1, 1], "config": ["r3c1", "r3c0"]}, '
+    '{"moves": [["r3c1", "r3c2"], ["r3c0", "r3c1"]], "weights": [2, 1], "config": ["r3c2", "r3c1"]}, '
+    '{"moves": [["r3c2", "r3c3"], ["r3c1", "r3c2"]], "weights": [3, 2], "config": ["r3c3", "r3c2"]}, '
+    '{"moves": [["r3c3", "r3c3"], ["r3c2", "r3c3"]], "weights": [0, 3], "config": ["r3c3", "r3c3"]}]}}\n'
+)
+VALUES_FIG5_N6_SHA256 = "2e42b87083e69b551220a3a902f2aff5958ab53ed45a9d5b79be027aa068d888"  # 470094 bytes
+
+
+def test_bench_nash_stdout_bytes_pinned(capsys, tmp_path, fig5_file):
+    import hashlib
+
+    grid4 = tmp_path / "grid4.json"
+    grid4.write_text(serialize_arena(grid_arena(4)))
+    game = ("--arena", str(grid4), "--players", "2")
+    for flags, out in [
+        (("poa",), POA_GRID4_N2),
+        (("pos",), POS_GRID4_N2),
+        (("ne", "--worst"), NE_WORST_GRID4_N2),
+    ]:
+        assert invoke_raw(capsys, *flags, *game)[:2] == (0, out), flags
+    code, out, _ = invoke_raw(capsys, "values", "--arena", fig5_file, "--players", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VALUES_FIG5_N6_SHA256
+
+
 # Stdout of the routing commands before best responses became A* searches
 # over per-call layer weights; the search must leave these bytes unchanged.
 # The long grid4 ``eval`` line is pinned by its SHA-256 digest.

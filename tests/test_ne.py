@@ -11,7 +11,11 @@ from dyncong.graphs import (
     SemanticsError,
     cheapest_outcome,
     distributions,
+    initial_config,
+    moves_for,
     path_from_configs,
+    reachable_graph,
+    step,
     target_config,
 )
 from dyncong.ne import (
@@ -24,6 +28,7 @@ from dyncong.ne import (
 from dyncong.oracle import brute_values
 from dyncong.socopt import social_optimum
 
+import ne_reference
 from corpus import (
     corpus_games,
     fig5_arena,
@@ -286,9 +291,10 @@ def test_values_match_oracle_on_random_arenas():
 
 
 def test_nash_commands_solve_values_and_search_once(monkeypatch, tmp_path):
-    # Each command runs exactly one NE search: the full-graph exploration for
-    # a worst equilibrium, the on-demand A* for a best one.
-    calls = {"values": 0, "explore": 0, "best": 0}
+    # Each command runs one NE search: the full-graph exploration for a worst
+    # equilibrium witness, the on-demand A* for both ratios, and the A* plus
+    # its bounded replay for a best equilibrium witness.
+    calls = {"values": 0, "explore": 0, "search": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -298,17 +304,17 @@ def test_nash_commands_solve_values_and_search_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(ne, "compute_values", counting("values", ne.compute_values))
     monkeypatch.setattr(ne, "_explore_ne_graph", counting("explore", ne._explore_ne_graph))
-    monkeypatch.setattr(ne, "_best_ne_cost", counting("best", ne._best_ne_cost))
+    monkeypatch.setattr(ne, "_min_ne_search", counting("search", ne._min_ne_search))
     arena = tmp_path / "fig5.json"
     arena.write_text(serialize_arena(fig5_arena()))
     searches = {
-        ("ne", "--worst"): {"explore": 1, "best": 0},
-        ("poa",): {"explore": 1, "best": 0},
-        ("pos",): {"explore": 0, "best": 1},
-        ("ne", "--best"): {"explore": 0, "best": 1},
+        ("ne", "--worst"): {"explore": 1, "search": 0},
+        ("poa",): {"explore": 0, "search": 1},
+        ("pos",): {"explore": 0, "search": 1},
+        ("ne", "--best"): {"explore": 0, "search": 2},
     }
     for command, search in searches.items():
-        calls.update(values=0, explore=0, best=0)
+        calls.update(values=0, explore=0, search=0)
         assert run([*command, "--arena", str(arena), "--players", "3"]) == 0
         assert calls == {"values": 1, **search}, command
 
@@ -324,20 +330,132 @@ def _full_graph_min_ne(game, gamma, values):
     return cheapest_outcome(game, start, nodes, edges, gamma, targets)
 
 
-def test_best_ne_search_matches_full_graph_search():
-    # Cost and witness of the A* plus bounded Dijkstra replay equal the
-    # full-graph Dijkstra's, ties included, for nonnegative gamma.
+def _search_games():
+    """The corpus, the NE gap games, 30 random arenas with one to three
+    players and grid3 with two: the games the searches are checked on."""
     rng = random.Random(17)
     games = [game for _, game in corpus_games()]
     games += [game for game, _ in ne_gap_games(41, 8)]
     games += [Game(random_arena(rng), 1 + k % 3) for k in range(30)]
     games.append(Game(grid_arena(3), 2))
-    for k, game in enumerate(games):
+    return games
+
+
+def test_best_ne_search_matches_full_graph_search():
+    # Cost and witness of the A* plus bounded Dijkstra replay equal the
+    # full-graph Dijkstra's, ties included, for nonnegative gamma.
+    for k, game in enumerate(_search_games()):
         values = compute_values(game)
         n = game.n
         for gamma in {(1,) * n, (0,) + (1,) * (n - 1), (2,) + (1,) * (n - 1)}:
             expected = _full_graph_min_ne(game, gamma, values)
             assert gamma_min_ne(game, gamma, values) == expected, (k, gamma)
-            assert ne._best_ne_cost(
-                game, gamma, ne._ne_successors(game, values)
-            ) == expected[0], (k, gamma)
+            assert ne._min_ne_search(
+                game, gamma, values, ne._ne_successors(game, values)
+            )[0] == expected[0], (k, gamma)
+
+
+def test_min_ne_search_matches_full_graph_search_for_every_sign():
+    # The A* under the bound-aware heuristic finds the full-graph optimum
+    # for negative, mixed and nonnegative gamma, with a witness that is an
+    # equilibrium outcome of exactly that gamma-cost.
+    for k, game in enumerate(_search_games()):
+        values = compute_values(game)
+        n = game.n
+        start, nodes, edges = ne._explore_ne_graph(game, values)
+        tgt = target_config(game)
+        targets = sorted(
+            (node for node in nodes if node[0] == tgt), key=lambda node: node != start
+        )
+        alternating = tuple((-1) ** i for i in range(n))
+        gammas = {(-1,) * n, alternating, tuple(-g for g in alternating), (1,) * n}
+        for gamma in gammas:
+            expected, _ = cheapest_outcome(game, start, nodes, edges, gamma, targets)
+            cost, witness = ne._min_ne_search(
+                game, gamma, values, ne._ne_successors(game, values)
+            )
+            assert cost == expected, (k, gamma)
+            assert check_ne_outcome(game, witness, values), (k, gamma)
+            assert sum(g * witness.cost(i) for i, g in enumerate(gamma)) == cost, (k, gamma)
+
+
+def _table_games():
+    # Seed 37 keeps the largest bound-augmented graph at 1,356 nodes, so the
+    # node-by-node successor comparison stays well under a second.
+    rng = random.Random(37)
+    games = [game for _, game in corpus_games()]
+    return games + [Game(random_arena(rng), 1 + k % 3) for k in range(20)]
+
+
+def test_compute_values_matches_reference_tables():
+    # The move table built from cached edge-id spreads gives the same values
+    # and punishments, in the same dict order, as the table built from
+    # ``graphs.distributions``.
+    for k, game in enumerate(_table_games() + [Game(fig5_arena(), 6)]):
+        got = compute_values(game)
+        want = ne_reference.compute_values(game)
+        assert list(got.values.items()) == list(want.values.items()), k
+        assert list(got.punish.items()) == list(want.punish.items()), k
+        assert got.ceiling == want.ceiling, k
+
+
+def test_ne_successors_match_reference():
+    # Floors shared per deviation class give the same successor lists, in
+    # order, at every node of the bound-augmented graph.
+    for k, game in enumerate(_table_games()):
+        values = compute_values(game)
+        successors = ne._ne_successors(game, values)
+        reference = ne_reference.ne_successors(game, values)
+        _, nodes, _ = ne._explore_ne_graph(game, values)
+        for node in nodes:
+            assert successors(node) == reference(node), (k, node)
+
+
+def test_deviation_floor_matches_min_over_dev_set():
+    num_checked = 0
+    for k, game in enumerate(_table_games()):
+        values = compute_values(game)
+        graph = reachable_graph(game)
+        for config, succs in graph.transitions.items():
+            for nxt, _ in succs:
+                for i in range(game.n):
+                    want = ne_reference.deviation_floor(game, values, config, nxt, i)
+                    assert ne.deviation_floor(game, values, config, nxt, i) == want, (
+                        k, config, nxt, i)
+                    num_checked += 1
+    assert num_checked > 1000
+
+
+def _plays_to_target(game, max_steps):
+    """Every play from the initial to the target configuration of at most
+    ``max_steps`` joint steps."""
+    goal = target_config(game)
+    found = []
+
+    def walk(configs):
+        if configs[-1] == goal:
+            found.append(path_from_configs(game, configs))
+        elif len(configs) <= max_steps:
+            for moves in moves_for(game.arena, configs[-1]):
+                walk(configs + [step(game, configs[-1], moves)[1]])
+
+    walk([initial_config(game)])
+    return found
+
+
+def test_check_ne_outcome_matches_brute_force_on_ne_gap_games():
+    # On games whose best and worst equilibria differ, the outcome check
+    # accepts exactly the enumerated equilibrium outcomes, and the blind
+    # equilibrium's outcome is among them.
+    from dyncong.oracle import brute_ne_outcomes
+
+    for k, (game, values) in enumerate(ne_gap_games(41, 8)):
+        accepted = {path.key() for path in brute_ne_outcomes(game, 5)}
+        checked = {
+            path.key() for path in _plays_to_target(game, 5)
+            if check_ne_outcome(game, path, values)
+        }
+        assert accepted and checked == accepted, k
+        profile, _ = blind_ne(game)
+        _, _, path = play_profile(game, profile)
+        assert check_ne_outcome(game, path, values), k
