@@ -25,7 +25,6 @@ from .graphs import (
     step,
 )
 from .ne import (
-    NEProfile,
     ValueTable,
     check_ne_outcome,
     compute_values,
@@ -34,7 +33,6 @@ from .ne import (
     gamma_min_ne,
     poa,
     pos,
-    synthesize_ne_profile,
 )
 from .socopt import constrained_social_optimum, social_optimum
 from .spe import (

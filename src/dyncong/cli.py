@@ -78,13 +78,17 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_gamma(args, n: int):
-    chosen = [
+def _gamma_flags(args) -> list[str]:
+    return [
         name
         for name, flag in (("--best", args.best), ("--worst", args.worst),
                            ("--gamma", args.gamma is not None))
         if flag
     ]
+
+
+def _parse_gamma(args, n: int):
+    chosen = _gamma_flags(args)
     if len(chosen) > 1:
         raise InputError(f"{' and '.join(chosen)} are mutually exclusive")
     if args.worst:
@@ -246,6 +250,12 @@ def cmd_check_ne(args):
 
 def cmd_spe(args):
     game = _load_game(args)
+    if args.exists:
+        chosen = _gamma_flags(args) + ["--bound"] * (args.bound is not None)
+        if chosen:
+            raise InputError(
+                f"{' and '.join(['--exists', *chosen])} are mutually exclusive"
+            )
     lam = compute_lambda(game)
     if args.dump_lambda:
         entries = []
@@ -257,8 +267,11 @@ def cmd_spe(args):
                     "labels": [_jsonable(v) for v in labels],
                 }
             )
-        with open(args.dump_lambda, "w", encoding="utf-8") as handle:
-            json.dump({"lambda": entries}, handle, indent=2)
+        try:
+            with open(args.dump_lambda, "w", encoding="utf-8") as handle:
+                json.dump({"lambda": entries}, handle, indent=2)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dump_lambda}: {exc}") from exc
     if args.exists:
         ok, witness = spe_exists(game, lam)
         payload = {"command": "spe", "exists": ok}

@@ -289,16 +289,14 @@ def compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def distributions(arena: Arena, abstract: tuple[int, ...], budget=None):
+def distributions(arena: Arena, abstract: tuple[int, ...]):
     """Edge distributions compatible with an abstract configuration.
 
     Yields ``(dist, weight, nxt)`` where ``dist`` maps edges to counts with,
     for every state v, the counts on v's out-edges summing to abstract[v];
     ``weight`` is the total cost paid on this joint step and ``nxt`` the
     successor abstract configuration.  Enumeration order is the product of
-    per-state compositions in canonical state and edge order.  With a
-    ``budget``, partial products whose weight already exceeds it are pruned,
-    which keeps threshold-cost arenas tractable.
+    per-state compositions in canonical state and edge order.
     """
     occupied = [v for v, cnt in enumerate(abstract) if cnt > 0]
     per_state = []
@@ -324,8 +322,6 @@ def distributions(arena: Arena, abstract: tuple[int, ...], budget=None):
             return
         v, outs, options = per_state[idx]
         for combo, wgt in options:
-            if budget is not None and weight + wgt > budget:
-                continue
             added = {}
             for count, (succ, _) in zip(combo, outs):
                 if count:

@@ -3,25 +3,26 @@
 The outcome of a Nash equilibrium is characterized step by step: deviating at
 any point can be punished by the coalition of all other players, and the most
 they can force on player i from configuration c is the zero-sum value of c
-for i.  Since the game is symmetric, that value only depends on the player's
-own state and the multiset of coalition positions, so one value table serves
-every player.  :func:`compute_values` solves it by in-place sweeps over
-integer-indexed value states in order of hop distance to the target, reading
-each edge cost from a per-edge table; a sweep that changes nothing is the
-greatest fixpoint (see its docstring).  Optimal (best or worst) Nash
-equilibria come from a shortest-path search over the configuration graph
-augmented with per-player residual bounds that encode "no pending deviation
-is profitable".  The on-demand search is A* for every gamma, under a
-heuristic that charges the load-one distance to the target for a
-nonnegative weight and the residual bound for a negative one
+for i.  :func:`check_ne_outcome` decides from these values alone, with no
+punishing strategy profile built.  Since the game is symmetric, that value
+only depends on the player's own state and the multiset of coalition
+positions, so one value table serves every player.  :func:`compute_values`
+solves it by in-place sweeps over integer-indexed value states in order of
+hop distance to the target, reading each edge cost from a per-edge table; a
+sweep that changes nothing is the greatest fixpoint (see its docstring).
+Optimal (best or worst) Nash equilibria come from a shortest-path search over
+the configuration graph augmented with per-player residual bounds that encode
+"no pending deviation is profitable".  The on-demand search is A* for every
+gamma, under a heuristic that charges the load-one distance to the target for
+a nonnegative weight and the residual bound for a negative one
 (:func:`_min_ne_search`).  PoA and PoS need only its cost; a best NE
 (gamma >= 0) takes its witness from a bounded replay of the full-graph
-Dijkstra.  A witness for a negative weight (worst NE, mixed gamma) still
-comes from exploring the whole graph and running Bellman-Ford, whose
-tie-breaks only the whole graph fixes (see :func:`gamma_min_ne`).  Each
-deviation floor is computed once per deviation class of a configuration.
-Every command builds the table once and runs one such search, PoA and PoS
-included (:func:`equilibrium_ratio`).
+Dijkstra.  A witness for a negative weight (worst NE, mixed gamma) still comes from
+exploring the whole graph and running Bellman-Ford, whose tie-breaks only the
+whole graph fixes (see :func:`gamma_min_ne`).  Each deviation floor is
+computed once per deviation class of a configuration.  Every command builds
+the table once and runs one such search, PoA and PoS included
+(:func:`equilibrium_ratio`).
 """
 
 from __future__ import annotations
@@ -42,12 +43,10 @@ from .graphs import (
     check_outcome_shape,
     cheapest_outcome,
     compositions,
-    eval_path,
     initial_config,
     node_budget,
     path_from_configs,
     reachable_graph,
-    step,
     target_config,
     target_distances,
 )
@@ -61,12 +60,11 @@ class ValueTable:
     """Fixpoint values of the punish-one-player zero-sum game.
 
     ``values[s]`` is the worst total cost the coalition can force on the
-    distinguished player from value state ``s``; ``punish[s]`` is a coalition
-    edge distribution achieving it (the first maximizer in canonical order).
+    distinguished player from value state ``s``; ``ceiling`` is ``|V| *
+    kappa``, an upper bound on every value.
     """
 
     values: dict[ValueState, int]
-    punish: dict[ValueState, dict]
     ceiling: int
 
 
@@ -118,9 +116,8 @@ def compute_values(game: Game) -> ValueTable:
     F(x) >= F(nu) = nu) and at or below the Jacobi iterate of the same sweep
     (values only decrease, so an in-place update reads values no larger than
     Jacobi's).  A sweep that changes nothing is a fixpoint at or above the
-    greatest one, hence equal to it and to the Jacobi limit.  ``punish``
-    keeps the first maximizing distribution (canonical order) of that last
-    sweep, which read only final values.
+    greatest one, hence equal to it and to the Jacobi limit.  The sweep order
+    and the order of each row's distributions affect only the speed.
 
     The fixpoint must be finite (the player alone controls their position,
     so the target is never barred) and at most ``|V| * kappa``.
@@ -139,8 +136,7 @@ def compute_values(game: Game) -> ValueTable:
     count_index = {counts: ci for ci, counts in enumerate(all_counts)}
     total = len(all_counts) * num_states
 
-    # Edge ids follow state order, then out-edge order, so punish dicts list
-    # their edges in that canonical order.
+    # Edge ids follow state order, then out-edge order.
     edges = [(v, succ) for v in range(num_states) for succ, _ in arena.out[v]]
     edge_id = {edge: k for k, edge in enumerate(edges)}
     options = [
@@ -151,10 +147,10 @@ def compute_values(game: Game) -> ValueTable:
         ]
         for v in range(num_states)
     ]
-    # Per coalition state: (per-edge coalition loads, successor id base), in
-    # ``distributions`` order, which ``punish`` keeps: the product over the
-    # occupied states of the ways to spread their players over their
-    # out-edges, each spread listed once as (edge id, count) pairs.
+    # Per coalition state: (per-edge coalition loads, successor id base) for
+    # each coalition distribution, the product over the occupied states of
+    # the ways to spread their players over their out-edges, each spread
+    # listed once as (edge id, count) pairs.
     @functools.cache
     def spreads(v, count):
         return [
@@ -187,14 +183,12 @@ def compute_values(game: Game) -> ValueTable:
     values: list[float] = [INF] * total
     for s in range(tgt, total, num_states):
         values[s] = 0
-    first_max = [0] * total
     cap = num_states + total * ceiling
     for _ in range(cap):
         changed = False
         for s, opts, row in sweep:
             worst = -1
-            arg = 0
-            for m, (loads, base) in enumerate(row):
+            for loads, base in row:
                 response = INF
                 for succ, table, eid in opts:
                     r = table[loads[eid]] + values[base + succ]
@@ -204,8 +198,6 @@ def compute_values(game: Game) -> ValueTable:
                             break  # this distribution cannot beat ``worst``
                 if response > worst:
                     worst = response
-                    arg = m
-            first_max[s] = arg
             if worst != values[s]:
                 values[s] = worst
                 changed = True
@@ -215,24 +207,15 @@ def compute_values(game: Game) -> ValueTable:
         raise AssertionError("value iteration missed its convergence cap")
 
     table: dict[ValueState, int] = {}
-    punish: dict[ValueState, dict] = {}
     for ci, counts in enumerate(all_counts):
-        row = moves[ci]
-        dists: dict[int, dict] = {}
         for own in range(num_states):
-            s = ci * num_states + own
-            value = values[s]
+            value = values[ci * num_states + own]
             assert value != INF, (
                 "infinite fixpoint value: the player alone controls reachability"
             )
             assert value <= ceiling, "fixpoint value above the |V|*kappa ceiling"
-            m = first_max[s]  # 0 on the target: every response there is 0
-            if m not in dists:
-                loads = row[m][0]
-                dists[m] = {edges[k]: c for k, c in enumerate(loads) if c}
             table[(own, counts)] = int(value)
-            punish[(own, counts)] = dists[m]
-    return ValueTable(values=table, punish=punish, ceiling=ceiling)
+    return ValueTable(values=table, ceiling=ceiling)
 
 
 def check_ne_outcome(game: Game, path: OutcomePath, values: ValueTable | None = None) -> bool:
@@ -553,141 +536,3 @@ def pos(game: Game):
     """Price of stability: best equilibrium social cost over the optimum."""
     return equilibrium_ratio(game, worst=False)[2]
 
-
-@dataclass(frozen=True)
-class NEProfile:
-    """Finite Nash-equilibrium strategy profile: a main path plus punishments.
-
-    Players follow the main path; when a unilateral deviation by player j is
-    observed, everyone else switches forever to the memoryless coalition
-    strategy that forces j's value (on simultaneous deviations the least
-    player index is punished).
-    """
-
-    game: Game
-    main: OutcomePath
-    values: ValueTable
-
-    def play(self, deviations=None, max_steps: int | None = None):
-        """Simulates the profile; ``deviations`` maps player index to a blind
-        strategy (edge tuple) that the player follows instead.
-
-        Returns per-player realized costs and the realized path.  Punishment
-        can keep punishers away from the target; the simulation stops after
-        ``max_steps`` (default: main length plus |V| * (n + 1)) and reports
-        +inf for players still travelling.
-        """
-        game = self.game
-        arena = game.arena
-        scripts = {p: tuple(s) for p, s in (deviations or {}).items()}
-        if max_steps is None:
-            max_steps = len(self.main.steps) + len(arena.states) * (game.n + 1)
-        loop = (arena.tgt, arena.tgt)
-        config = initial_config(game)
-        punished = None
-        moves_list = []
-        for step_no in range(max_steps):
-            if config == target_config(game):
-                break
-            moves = []
-            for p in range(game.n):
-                if p in scripts:
-                    script = scripts[p]
-                    move = script[step_no] if step_no < len(script) else loop
-                elif punished is None:
-                    main_moves = (
-                        self.main.steps[step_no][0]
-                        if step_no < len(self.main.steps)
-                        else (loop,) * game.n
-                    )
-                    move = main_moves[p]
-                else:
-                    move = None  # coalition move, filled in below
-                moves.append(move)
-            if punished is not None:
-                moves = self._fill_punishment(config, punished, moves)
-            moves = tuple(moves)
-            weights, nxt = step(game, config, moves)
-            moves_list.append(moves)
-            if punished is None:
-                expected = (
-                    self.main.steps[step_no][2]
-                    if step_no < len(self.main.steps)
-                    else target_config(game)
-                )
-                if nxt != expected:
-                    deviators = [
-                        p for p in range(game.n) if nxt[p] != expected[p]
-                    ]
-                    punished = min(deviators)
-            config = nxt
-        costs, social, path = eval_path(game, moves_list)
-        return costs, path
-
-    def _fill_punishment(self, config, punished, moves):
-        """Assigns coalition players to the stored worst-case distribution."""
-        arena = self.game.arena
-        num_states = len(arena.states)
-        counts = [0] * num_states
-        for p, state in enumerate(config):
-            if p != punished:
-                counts[state] += 1
-        dist = dict(self.values.punish[(config[punished], tuple(counts))])
-        filled = list(moves)
-        for p in range(self.game.n):
-            if filled[p] is not None:
-                if p != punished:
-                    # scripted coalition member: their move stands and
-                    # consumes from the distribution when compatible
-                    edge = filled[p]
-                    if dist.get(edge, 0) > 0:
-                        dist[edge] -= 1
-                continue
-            state = config[p]
-            chosen = None
-            for succ, _ in arena.out[state]:
-                edge = (state, succ)
-                if dist.get(edge, 0) > 0:
-                    chosen = edge
-                    dist[edge] -= 1
-                    break
-            if chosen is None:
-                # distribution exhausted for this state (scripted players
-                # consumed it); fall back to the first available edge
-                succ, _ = arena.out[state][0]
-                chosen = (state, succ)
-            filled[p] = chosen
-        return filled
-
-    def to_json(self):
-        arena = self.game.arena
-        punish = []
-        for (own, counts), dist in sorted(self.values.punish.items()):
-            if own == arena.tgt and all(c == 0 for c in counts):
-                continue
-            punish.append(
-                {
-                    "player_state": arena.states[own],
-                    "coalition": {
-                        arena.states[v]: c for v, c in enumerate(counts) if c
-                    },
-                    "moves": [
-                        [arena.states[u], arena.states[v], c]
-                        for (u, v), c in sorted(dist.items())
-                    ],
-                }
-            )
-        return {"main": self.main.to_json(arena), "punishments": punish}
-
-
-def synthesize_ne_profile(game: Game, path: OutcomePath,
-                          values: ValueTable | None = None) -> NEProfile:
-    """Builds the punishment-backed profile whose outcome is ``path``.
-
-    Requires the path to pass :func:`check_ne_outcome`.
-    """
-    if values is None:
-        values = compute_values(game)
-    if not check_ne_outcome(game, path, values):
-        raise SemanticsError("path is not a Nash-equilibrium outcome")
-    return NEProfile(game=game, main=path, values=values)

@@ -68,14 +68,12 @@ def compute_values(game):
     values: list[float] = [INF] * total
     for s in range(tgt, total, num_states):
         values[s] = 0
-    first_max = [0] * total
     cap = num_states + total * ceiling
     for _ in range(cap):
         changed = False
         for s, opts, row in sweep:
             worst = -1
-            arg = 0
-            for m, (loads, base) in enumerate(row):
+            for loads, base in row:
                 response = INF
                 for succ, table, eid in opts:
                     r = table[loads[eid]] + values[base + succ]
@@ -85,8 +83,6 @@ def compute_values(game):
                             break
                 if response > worst:
                     worst = response
-                    arg = m
-            first_max[s] = arg
             if worst != values[s]:
                 values[s] = worst
                 changed = True
@@ -96,22 +92,13 @@ def compute_values(game):
         raise AssertionError("value iteration missed its convergence cap")
 
     table: dict = {}
-    punish: dict = {}
     for ci, counts in enumerate(all_counts):
-        row = moves[ci]
-        dists: dict[int, dict] = {}
         for own in range(num_states):
-            s = ci * num_states + own
-            value = values[s]
+            value = values[ci * num_states + own]
             assert value != INF
             assert value <= ceiling
-            m = first_max[s]
-            if m not in dists:
-                loads = row[m][0]
-                dists[m] = {edges[k]: c for k, c in enumerate(loads) if c}
             table[(own, counts)] = int(value)
-            punish[(own, counts)] = dists[m]
-    return ValueTable(values=table, punish=punish, ceiling=ceiling)
+    return ValueTable(values=table, ceiling=ceiling)
 
 
 def _at_config(values, config, player, num_states):

@@ -191,6 +191,35 @@ def test_spe_exists_and_gamma(capsys, fig1_file, tmp_path):
     assert table["lambda"]
 
 
+@pytest.mark.parametrize(
+    "flags", [("--bound", "0"), ("--gamma", "1,1"), ("--best",),
+              ("--bound", "0", "--worst")],
+    ids=["bound", "gamma", "best", "bound-worst"],
+)
+def test_spe_exists_rejects_objective_flags(capsys, fig1_file, flags):
+    # ``--exists`` answers yes or no for any SPE; an objective or a bound
+    # given with it would be ignored, so the command refuses them.
+    code, out, err = invoke_raw(
+        capsys, "spe", "--arena", fig1_file, "--players", "2", "--exists", *flags
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncong: --exists and ") and err.count("\n") == 1
+    assert "mutually exclusive" in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_spe_dump_lambda_unwritable(capsys, fig1_file, tmp_path, where):
+    dump = tmp_path if where == "directory" else tmp_path / "absent" / "x.json"
+    code, out, err = invoke_raw(
+        capsys, "spe", "--arena", fig1_file, "--players", "2", "--exists",
+        "--dump-lambda", str(dump),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncong: cannot write ") and err.count("\n") == 1
+
+
 def test_check_spe(capsys, tmp_path, fig1_file):
     code, payload = invoke(
         capsys, "spe", "--arena", fig1_file, "--players", "2", "--best"

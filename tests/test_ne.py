@@ -10,7 +10,6 @@ from dyncong.dynamics import BlindProfile, blind_ne, play_profile
 from dyncong.graphs import (
     SemanticsError,
     cheapest_outcome,
-    distributions,
     initial_config,
     moves_for,
     path_from_configs,
@@ -23,7 +22,6 @@ from dyncong.ne import (
     compute_values,
     constrained_ne,
     gamma_min_ne,
-    synthesize_ne_profile,
 )
 from dyncong.oracle import brute_values
 from dyncong.socopt import social_optimum
@@ -221,58 +219,6 @@ def test_blind_ne_outcome_is_general_ne(corpus):
         assert check_ne_outcome(game, path), name
 
 
-def test_synthesized_profile_replays_main_path(fig1_g2, fig1_paths):
-    _, _, path = play_profile(
-        fig1_g2, BlindProfile((fig1_paths["pi1"], fig1_paths["pi2"]))
-    )
-    profile = synthesize_ne_profile(fig1_g2, path)
-    costs, realized = profile.play()
-    assert costs == (9, 13)
-    assert realized == path
-
-
-def test_synthesized_profile_punishes_deviation(fig1_g2, fig1_paths):
-    _, _, path = play_profile(
-        fig1_g2, BlindProfile((fig1_paths["pi1"], fig1_paths["pi2"]))
-    )
-    profile = synthesize_ne_profile(fig1_g2, path)
-    # player 2 abandons their route for player 1's: punished to 16 >= 13
-    costs, _ = profile.play({1: fig1_paths["pi1"].edges})
-    assert costs[1] == 16
-    assert costs[1] >= 13
-
-
-def test_synthesized_profile_trivial_arena():
-    game = Game(trivial_arena(), 2)
-    path = _outcome(game, game.arena, [("src", "src"), ("tgt", "tgt")])
-    profile = synthesize_ne_profile(game, path)
-    costs, realized = profile.play()
-    assert costs == (2, 2)
-    assert realized == path
-
-
-def test_synthesize_requires_ne_outcome(fig1_g2, fig1_paths):
-    _, _, bad = play_profile(
-        fig1_g2, BlindProfile((fig1_paths["pi1"], fig1_paths["pi1"]))
-    )
-    with pytest.raises(SemanticsError):
-        synthesize_ne_profile(fig1_g2, bad)
-
-
-def _first_maximizer(game, values, own, counts):
-    """The first coalition distribution, in canonical order, whose best
-    response meets the value; recomputed from the values alone."""
-    arena = game.arena
-    for dist, _, nxt in distributions(arena, counts):
-        response = min(
-            fn(1 + dist.get((own, succ), 0)) + values[(succ, nxt)]
-            for succ, fn in arena.out[own]
-        )
-        if response == values[(own, counts)]:
-            return dist
-    return None
-
-
 def test_values_match_oracle_on_random_arenas():
     rng = random.Random(4)
     for trial in range(24):
@@ -286,8 +232,6 @@ def test_values_match_oracle_on_random_arenas():
         assert list(table.values) == list(brute), trial
         for state, value in table.values.items():
             assert brute[state] == value, (trial, state)
-            assert table.punish[state] == _first_maximizer(
-                game, table.values, *state), (trial, state)
 
 
 def test_nash_commands_solve_values_and_search_once(monkeypatch, tmp_path):
@@ -388,14 +332,12 @@ def _table_games():
 
 
 def test_compute_values_matches_reference_tables():
-    # The move table built from cached edge-id spreads gives the same values
-    # and punishments, in the same dict order, as the table built from
-    # ``graphs.distributions``.
+    # The move table built from cached edge-id spreads gives the same values,
+    # in the same dict order, as the table built from ``graphs.distributions``.
     for k, game in enumerate(_table_games() + [Game(fig5_arena(), 6)]):
         got = compute_values(game)
         want = ne_reference.compute_values(game)
         assert list(got.values.items()) == list(want.values.items()), k
-        assert list(got.punish.items()) == list(want.punish.items()), k
         assert got.ceiling == want.ceiling, k
 
 
