@@ -25,7 +25,8 @@ MoveVector = tuple[Edge, ...]
 
 
 class SemanticsError(ValueError):
-    """Raised for moves or paths that are invalid in the given game."""
+    """Raised for moves or paths that are invalid in the given game, and for
+    a node budget that is not a positive integer."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -33,9 +34,19 @@ class BudgetExceeded(RuntimeError):
 
 
 def node_budget() -> int:
-    """Search node budget; override with DYNCONG_NODE_BUDGET."""
+    """Search node budget; override with DYNCONG_NODE_BUDGET, an integer >= 1."""
     raw = os.environ.get("DYNCONG_NODE_BUDGET")
-    return int(raw) if raw else 10_000_000
+    if not raw:
+        return 10_000_000
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise SemanticsError(
+            f"DYNCONG_NODE_BUDGET must be an integer >= 1, not {raw!r}"
+        )
+    return budget
 
 
 def initial_config(game: Game) -> Config:

@@ -9,7 +9,9 @@ start at "no constraint" and shrink monotonically: the new label of an edge is
 the cheapest cost the deviating player could secure against the *worst*
 continuation that is still consistent with the previous labels.  Worst
 consistent continuations are evaluated on a counter graph, where each player
-carries a residual budget that tightens with every label passed.
+carries a residual budget that tightens with every label passed.  A player's
+deviations from an edge depend only on the edge's source and the other
+players' moves, so each round computes one value per such deviation class.
 
 A label of -inf marks an edge whose source has a successor with no consistent
 continuation at all; such an edge can never be used.  All finite labels at the
@@ -59,9 +61,11 @@ class CounterExploration:
     """Reachable part of a counter graph from a set of start configurations.
 
     Shares one forward exploration, one backward (coaccessibility) pass and
-    one SCC decomposition across all queries against the same label snapshot;
-    per player it then answers "is there a valid path" and "what is the worst
-    consistent cost" questions.
+    one SCC sweep across all queries against the same labels: "is there a
+    valid path" (:meth:`valid_exists`) and "what is the worst consistent
+    cost" (:meth:`sup`, every player's value in the one sweep).  The labels
+    are read in ``__init__`` only, so a caller may rewrite them while it
+    still queries the exploration.
 
     Nodes are ``(config, counters)``.  Along an edge, a player on the target
     gets counter 0; any other counter becomes the minimum of itself and the
@@ -101,39 +105,43 @@ class CounterExploration:
 
     def __init__(self, game: Game, graph: ReachableGraph, labels: LabelTable,
                  starts, counter_bound=None):
-        self.game = game
-        self.graph = graph
-        self.labels = labels
+        n = game.n
+        tgt = game.arena.tgt
         dist1 = target_distances(game.arena)
         tgt_cfg = target_config(game)
         budget = node_budget()
+        bound = INF if counter_bound is None else counter_bound
         self.start_nodes = {
             c: (c, initial_counters(game, c)) for c in starts
         }
         adjacency: dict = {}
+        movers: dict = {}  # per config, the players not yet on the target
         seen = set(self.start_nodes.values())
         frontier = list(seen)
-        tgt = game.arena.tgt
         while frontier:
             node = frontier.pop()
             config, counters = node
+            players = movers.get(config)
+            if players is None:
+                players = movers[config] = [
+                    i for i in range(n) if config[i] != tgt
+                ]
             succs = []
             for nxt, weights in graph.successors(config):
                 label = labels[(config, nxt)]
-                updated = []
+                updated = [0] * n
                 keep = True
-                for i in range(game.n):
-                    if config[i] == tgt:
-                        updated.append(0)
-                        continue
-                    value = min(counters[i], label[i]) - weights[i]
-                    if counter_bound is not None and value != INF:
-                        assert value <= counter_bound, (
-                            "counter exceeded its stabilisation bound"
-                        )
+                for i in players:
+                    value = counters[i]
+                    if label[i] < value:
+                        value = label[i]
+                    value -= weights[i]
+                    assert value <= bound or value == INF, (
+                        "counter exceeded its stabilisation bound"
+                    )
                     if value < dist1[nxt[i]]:
                         keep = False
-                    updated.append(value)
+                    updated[i] = value
                 if keep:
                     succs.append((weights, (nxt, tuple(updated))))
             adjacency[node] = succs
@@ -164,33 +172,54 @@ class CounterExploration:
                     stack.append(prev)
         self.coaccessible = coaccessible
         self.targets = targets
-        self._sup_cache: dict[int, dict] = {}
-        self._components = None
+        self._n = n
+        self._sup = None
 
     def valid_exists(self, config: Config) -> bool:
         """Whether the counter graph has a valid path from this start."""
         node = self.start_nodes[config]
         return node in self.coaccessible
 
-    def _condense(self):
-        """Tarjan SCCs (iterative) over the coaccessible subgraph, returned in
-        reverse topological order of the condensation."""
-        if self._components is not None:
-            return self._components
+    def sup(self, config: Config, player: int):
+        """Worst cost of ``player`` over consistent continuations from config.
+
+        None when no valid path exists; +inf when a reachable cycle keeps the
+        player's counter at +inf while charging them a positive amount (such
+        a cycle can be pumped arbitrarily often and still completed); the
+        exact maximum otherwise, by longest path over the condensation, where
+        in-component edges are free for the player (a positive-weight
+        in-component edge would itself be pumpable).  The first call sweeps
+        the condensation once for every player.
+        """
+        if self._sup is None:
+            self._sup = self._sweep()
+        values = self._sup.get(config)
+        return None if values is None else values[player]
+
+    def _sweep(self):
+        """Iterative Tarjan over the coaccessible subgraph.  A component is
+        complete only after every component it reaches, so each one's
+        per-player worst costs are computed as it is popped."""
+        n = self._n
+        adjacency = self.adjacency
+        coaccessible = self.coaccessible
         index: dict = {}
         low: dict = {}
         on_stack: set = set()
         stack: list = []
         comp_of: dict = {}
-        components: list[list] = []
-        counter = [0]
+        comp_sup: list = []
 
-        for root in self.coaccessible:
+        def co_succs(node):
+            return iter([
+                succ for _, succ in adjacency[node] if succ in coaccessible
+            ])
+
+        for root in coaccessible:
             if root in index:
                 continue
-            work = [(root, iter(self._co_succs(root)))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
+            work = [(root, co_succs(root))]
+            index[root] = low[root] = len(index)
             stack.append(root)
             on_stack.add(root)
             while work:
@@ -198,11 +227,10 @@ class CounterExploration:
                 advanced = False
                 for succ in it:
                     if succ not in index:
-                        index[succ] = low[succ] = counter[0]
-                        counter[0] += 1
+                        index[succ] = low[succ] = len(index)
                         stack.append(succ)
                         on_stack.add(succ)
-                        work.append((succ, iter(self._co_succs(succ))))
+                        work.append((succ, co_succs(succ)))
                         advanced = True
                         break
                     if succ in on_stack:
@@ -213,69 +241,41 @@ class CounterExploration:
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        comp_of[member] = len(components)
-                        comp.append(member)
-                        if member == node:
-                            break
-                    components.append(comp)
-        self._components = (components, comp_of)
-        return self._components
-
-    def _co_succs(self, node):
-        return [
-            succ for _, succ in self.adjacency[node] if succ in self.coaccessible
-        ]
-
-    def sup(self, config: Config, player: int):
-        """Worst cost of ``player`` over consistent continuations from config.
-
-        None when no valid path exists; +inf when a reachable cycle keeps the
-        player's counter at +inf while charging them a positive amount (such
-        a cycle can be pumped arbitrarily often and still completed); the
-        exact maximum otherwise, by longest path over the condensation, where
-        in-component edges are free for the player (a positive-weight
-        in-component edge would itself be pumpable).
-        """
-        start = self.start_nodes[config]
-        if start not in self.coaccessible:
-            return None
-        cache = self._sup_cache.get(player)
-        if cache is None:
-            cache = self._player_sup(player)
-            self._sup_cache[player] = cache
-        return cache[start]
-
-    def _player_sup(self, player: int):
-        components, comp_of = self._condense()
-        comp_sup = []
-        for comp in components:  # reverse topological order: succs first
-            members = set(comp)
-            value = 0 if any(node in self.targets for node in comp) else NEG_INF
-            pump = False
-            for node in comp:
-                for weights, succ in self.adjacency[node]:
-                    if succ not in self.coaccessible:
-                        continue
-                    w = weights[player]
-                    if succ in members:
-                        if w > 0:
-                            pump = True
-                    else:
-                        candidate = w + comp_sup[comp_of[succ]]
-                        if candidate > value:
-                            value = candidate
-            comp_sup.append(INF if pump else value)
-        result = {}
-        for node in self.coaccessible:
-            value = comp_sup[comp_of[node]]
-            assert value >= 0, "coaccessible node must reach a target"
-            result[node] = value
-        return result
+                if low[node] != index[node]:
+                    continue
+                comp = []
+                k = len(comp_sup)
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    comp_of[member] = k
+                    comp.append(member)
+                    if member == node:
+                        break
+                value = [
+                    0 if any(m in self.targets for m in comp) else NEG_INF
+                ] * n
+                for member in comp:
+                    for weights, succ in adjacency[member]:
+                        j = comp_of.get(succ)
+                        if j is None:  # not coaccessible
+                            continue
+                        if j == k:  # a charged in-component edge pumps
+                            for i in range(n):
+                                if weights[i] > 0:
+                                    value[i] = INF
+                            continue
+                        after = comp_sup[j]
+                        for i in range(n):
+                            candidate = weights[i] + after[i]
+                            if candidate > value[i]:
+                                value[i] = candidate
+                assert min(value) >= 0, "coaccessible node must reach a target"
+                comp_sup.append(value)
+        return {
+            c: comp_sup[comp_of[node]]
+            for c, node in self.start_nodes.items() if node in comp_of
+        }
 
 
 @dataclass
@@ -302,12 +302,19 @@ def _mu_bound(game: Game, k: int, kap: int) -> int:
 def compute_lambda(game: Game) -> LambdaResult:
     """Computes the SPE edge labels by the stratified fixpoint.
 
-    Strata are processed from all-players-done downward.  Within a stratum,
-    every refinement recomputes all of its edges from the previous snapshot
-    (Jacobi style), so the result matches the definitional fixpoint; labels
-    of higher strata stay fixed.  Refinement must shrink labels pointwise and
-    stabilise within ``|V| (1 + n kappa |E|^n)`` rounds, and the final finite
-    labels must not exceed ``|V| * kappa``; violations raise.
+    Strata are processed from all-players-done downward; labels of higher
+    strata stay fixed.  Each deviation class ``(config, i, nxt without
+    entry i)`` gets its deviation list once per stratum and, in each round,
+    one value: the minimum of deviation cost plus worst consistent
+    continuation.  An edge's label holds its classes' values (0 for a player
+    on the target, -inf once the source is dead); a round rewrites only the
+    edges whose values changed.  Rounds stay Jacobi style, as in the
+    definitional fixpoint, with no snapshot: the round's
+    ``CounterExploration`` reads the labels in its constructor, before any
+    is rewritten, and every value of the round comes from it.  Values must
+    shrink, a dead source must stay dead, refinement must stabilise within
+    ``|V| (1 + n kappa |E|^n)`` rounds, and final finite labels must not
+    exceed ``|V| * kappa``; violations raise.
     """
     arena = game.arena
     graph = reachable_graph(game)
@@ -316,99 +323,101 @@ def compute_lambda(game: Game) -> LambdaResult:
     tgt = arena.tgt
     n = game.n
 
-    by_region: dict[int, list[EdgeKey]] = {}
+    by_region: dict[int, list[Config]] = {}
     for config in graph.configs:
-        j = region(game, config)
-        for nxt, _ in graph.successors(config):
-            by_region.setdefault(j, []).append((config, nxt))
+        by_region.setdefault(region(game, config), []).append(config)
 
     labels: LabelTable = {}
     result = LambdaResult(labels=labels, graph=graph, ceiling=ceiling)
-
     tgt_cfg = target_config(game)
-    if region(game, tgt_cfg) == n:  # always true; keeps the base case visible
-        labels[(tgt_cfg, tgt_cfg)] = (0,) * n
+    labels[(tgt_cfg, tgt_cfg)] = (0,) * n
 
     iteration_cap = len(arena.states) * (
         1 + n * kap * len(arena.edges) ** n
     )
 
     for j in range(n - 1, -1, -1):
-        edges = by_region.get(j, [])
-        if not edges:
-            result.region_iterations[j] = 0
-            continue
-        # Round-invariant: the sources, the start configurations of the
-        # counter graphs (every successor of a source) and each edge's
-        # per-player deviations (None for a player already on the target).
-        sources = list(dict.fromkeys(config for config, _ in edges))
-        starts = {nxt for _, nxt in edges}
-        deviations = {}
-        for (config, nxt) in edges:
-            labels[(config, nxt)] = tuple(
-                0 if config[i] == tgt else INF for i in range(n)
-            )
-            deviations[(config, nxt)] = [
-                None if config[i] == tgt else dev_set(game, config, nxt, i)
-                for i in range(n)
-            ]
+        sources = by_region.get(j, [])
+        # Round-invariant: the start configurations of the counter graphs
+        # (every successor of a source), each source's deviation classes as
+        # [player, deviations, edges, value], and each edge's per-player
+        # class (None for a player already on the target).
+        starts = set()
+        classes: dict[Config, list] = {}
+        edge_classes: dict[EdgeKey, list] = {}
+        for config in sources:
+            keyed: dict = {}
+            for nxt, _ in graph.successors(config):
+                starts.add(nxt)
+                row = edge_classes[(config, nxt)] = []
+                for i in range(n):
+                    cls = None
+                    if config[i] != tgt:
+                        key = (i, nxt[:i] + nxt[i + 1:])
+                        cls = keyed.get(key)
+                        if cls is None:
+                            cls = keyed[key] = [
+                                i, dev_set(game, config, nxt, i), [], INF
+                            ]
+                        cls[2].append((config, nxt))
+                    row.append(cls)
+            classes[config] = list(keyed.values())
+        dead = set()
+        stale = dict.fromkeys(edge_classes)  # in edge order: first writes
         iterations = 0
-        while True:
+        while stale:
+            for edge in stale:
+                labels[edge] = tuple(
+                    0 if cls is None else cls[3] for cls in edge_classes[edge]
+                )
+            stale = {}
             iterations += 1
             assert iterations <= iteration_cap, (
                 "label refinement missed its stabilisation bound"
             )
-            snapshot = dict(labels)
             bound = max(ceiling, _mu_bound(game, iterations, kap))
             exploration = CounterExploration(
-                game, graph, snapshot, starts, counter_bound=bound
+                game, graph, labels, starts, counter_bound=bound
             )
-            dead = {
-                config: any(
-                    not exploration.valid_exists(succ)
+            sup = exploration.sup
+            for config in sources:
+                is_dead = not all(
+                    exploration.valid_exists(succ)
                     for succ, _ in graph.successors(config)
                 )
-                for config in sources
-            }
-            changed = False
-            for (config, nxt) in edges:
-                values = []
-                for i, devs in enumerate(deviations[(config, nxt)]):
-                    if devs is None:
-                        values.append(0)
-                        continue
-                    if dead[config]:
-                        values.append(NEG_INF)
-                        continue
-                    best = INF
-                    for dev, dev_cost in devs:
-                        worst = exploration.sup(dev, i)
-                        assert worst is not None, (
-                            "live source implies consistent continuations "
-                            "from every deviation"
+                if config in dead:
+                    assert is_dead, "a dead source never comes back to life"
+                    continue
+                if is_dead:
+                    dead.add(config)
+                for cls in classes[config]:
+                    i, devs, edges, old = cls
+                    if is_dead:
+                        new = NEG_INF
+                    else:
+                        new = INF
+                        for dev, dev_cost in devs:
+                            worst = sup(dev, i)
+                            assert worst is not None, (
+                                "live source implies consistent "
+                                "continuations from every deviation"
+                            )
+                            if dev_cost + worst < new:
+                                new = dev_cost + worst
+                        assert new == INF or new <= bound, (
+                            "label exceeded its growth bound"
                         )
-                        candidate = dev_cost + worst
-                        if candidate < best:
-                            best = candidate
-                    values.append(best)
-                new = tuple(values)
-                old = snapshot[(config, nxt)]
-                for a, b in zip(new, old):
-                    assert a <= b, "labels must shrink monotonically"
-                if new != old:
-                    changed = True
-                for v in new:
-                    if v not in (INF, NEG_INF):
-                        assert v <= bound, "label exceeded its growth bound"
-                labels[(config, nxt)] = new
-            if not changed:
-                break
+                    assert new <= old, "labels must shrink monotonically"
+                    if new != old:
+                        cls[3] = new
+                        stale.update(dict.fromkeys(edges))
         result.region_iterations[j] = iterations
-        for (config, nxt) in edges:
-            for v in labels[(config, nxt)]:
-                assert v != INF, "stabilised labels are finite or -inf"
-                if v != NEG_INF:
-                    assert v <= ceiling, "stabilised label above |V| * kappa"
+        for config in sources:
+            for cls in classes[config]:
+                assert cls[3] != INF, "stabilised labels are finite or -inf"
+                assert cls[3] == NEG_INF or cls[3] <= ceiling, (
+                    "stabilised label above |V| * kappa"
+                )
     return result
 
 

@@ -243,3 +243,15 @@ def grid_arena(k: int) -> Arena:
             edges.append((here, here, constant(1)))
     states = [name(r, c) for r in range(k) for c in range(k)]
     return build_arena(states, edges, states[0], tgt)
+
+
+def differential_games() -> list[Game]:
+    """The corpus, the NE gap games, 30 random arenas with one to three
+    players and grid3 with two: the games on which the solvers are checked
+    against their earlier implementations."""
+    rng = random.Random(17)
+    games = [game for _, game in corpus_games()]
+    games += [game for game, _ in ne_gap_games(41, 8)]
+    games += [Game(random_arena(rng), 1 + k % 3) for k in range(30)]
+    games.append(Game(grid_arena(3), 2))
+    return games

@@ -298,6 +298,17 @@ def test_budget_abort(capsys, fig5_file, monkeypatch):
     assert payload is None
 
 
+@pytest.mark.parametrize("raw", ["abc", "1.5", "-5", "0"])
+def test_malformed_node_budget(capsys, fig5_file, monkeypatch, raw):
+    # Not an integer >= 1: an input error, not a traceback or a budget abort.
+    monkeypatch.setenv("DYNCONG_NODE_BUDGET", raw)
+    code, out, err = invoke_raw(
+        capsys, "values", "--arena", fig5_file, "--players", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"dyncong: DYNCONG_NODE_BUDGET must be an integer >= 1, not {raw!r}\n"
+
+
 def test_deterministic_output(capsys, fig1_file):
     _, first = invoke(capsys, "ne", "--arena", fig1_file, "--players", "2")
     _, second = invoke(capsys, "ne", "--arena", fig1_file, "--players", "2")

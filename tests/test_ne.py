@@ -29,8 +29,8 @@ from dyncong.socopt import social_optimum
 import ne_reference
 from corpus import (
     corpus_games,
+    differential_games,
     fig5_arena,
-    grid_arena,
     ne_gap_games,
     random_arena,
     trivial_arena,
@@ -274,21 +274,10 @@ def _full_graph_min_ne(game, gamma, values):
     return cheapest_outcome(game, start, nodes, edges, gamma, targets)
 
 
-def _search_games():
-    """The corpus, the NE gap games, 30 random arenas with one to three
-    players and grid3 with two: the games the searches are checked on."""
-    rng = random.Random(17)
-    games = [game for _, game in corpus_games()]
-    games += [game for game, _ in ne_gap_games(41, 8)]
-    games += [Game(random_arena(rng), 1 + k % 3) for k in range(30)]
-    games.append(Game(grid_arena(3), 2))
-    return games
-
-
 def test_best_ne_search_matches_full_graph_search():
     # Cost and witness of the A* plus bounded Dijkstra replay equal the
     # full-graph Dijkstra's, ties included, for nonnegative gamma.
-    for k, game in enumerate(_search_games()):
+    for k, game in enumerate(differential_games()):
         values = compute_values(game)
         n = game.n
         for gamma in {(1,) * n, (0,) + (1,) * (n - 1), (2,) + (1,) * (n - 1)}:
@@ -303,7 +292,7 @@ def test_min_ne_search_matches_full_graph_search_for_every_sign():
     # The A* under the bound-aware heuristic finds the full-graph optimum
     # for negative, mixed and nonnegative gamma, with a witness that is an
     # equilibrium outcome of exactly that gamma-cost.
-    for k, game in enumerate(_search_games()):
+    for k, game in enumerate(differential_games()):
         values = compute_values(game)
         n = game.n
         start, nodes, edges = ne._explore_ne_graph(game, values)

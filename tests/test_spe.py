@@ -1,5 +1,6 @@
 import pytest
 
+import dyncong.spe as spe
 from dyncong.arena import Game
 from dyncong.dynamics import BlindProfile, play_profile
 from dyncong.graphs import (
@@ -24,10 +25,13 @@ from dyncong.spe import (
     spe_exists,
 )
 
+import spe_reference
 from corpus import (
     chain_arena,
     diamond_arena,
+    differential_games,
     free_wait_arena,
+    grid_arena,
     ne_gap_games,
     paid_wait_arena,
     shortcut_arena,
@@ -634,6 +638,24 @@ def test_label_machinery_matches_oneshot_oracle(arena_maker):
     assert accepted == stable
 
 
+def test_label_machinery_matches_oneshot_oracle_on_ne_gap_games():
+    # The two games with 36 reachable configurations are left out: the
+    # oracle takes up to minutes on them.
+    checked = 0
+    for game, _ in ne_gap_games(41, 8):
+        if len(reachable_graph(game).configs) > 26:
+            continue
+        stable = oneshot_stable_sets(game, 4)[initial_config(game)]
+        lam = compute_lambda(game)
+        accepted = {
+            configs for configs in _bounded_outcomes(game, 4)
+            if check_spe_outcome(game, path_from_configs(game, list(configs)), lam)
+        }
+        assert accepted == stable
+        checked += 1
+    assert checked == 6
+
+
 @pytest.mark.parametrize(
     "arena_maker",
     [trivial_arena, diamond_arena, shortcut_arena, threshold_arena, chain_arena],
@@ -722,3 +744,59 @@ def test_sup_cost_on_random_dag_arenas():
         labels, graph = _mu0_labels(game)
         _assert_sup_matches_enumeration(game, labels, graph, len(arena.states))
         checked += 1
+
+
+# ------------------------------------------------- label rounds per class
+
+
+def test_compute_lambda_builds_each_deviation_class_once(monkeypatch):
+    # A player's deviations from config => nxt depend only on the class
+    # (config, player, nxt without the player's entry): grid4 with two
+    # players has 1,290 classes against 3,612 edge-player pairs.
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return dev_set(*args)
+
+    monkeypatch.setattr(spe, "dev_set", counting)
+    game = Game(grid_arena(4), 2)
+    compute_lambda(game)
+    graph = reachable_graph(game)
+    tgt = game.arena.tgt
+    pairs = [
+        (config, i, nxt[:i] + nxt[i + 1:])
+        for config in graph.configs
+        for nxt, _ in graph.successors(config)
+        for i in range(game.n)
+        if config[i] != tgt
+    ]
+    assert (calls[0], len(set(pairs)), len(pairs)) == (1290, 1290, 3612)
+
+
+def test_compute_lambda_matches_reference_rounds():
+    # Class values, a sup sweep for all players and rewriting only changed
+    # labels give the same labels, in the same dict order, the same rounds
+    # per region and the same counter graphs as recomputing every edge from
+    # a snapshot; so every gamma-optimal cost and witness is the same too.
+    for k, game in enumerate(differential_games()):
+        got = compute_lambda(game)
+        want = spe_reference.compute_lambda(game)
+        assert list(got.labels.items()) == list(want.labels.items()), k
+        assert got.region_iterations == want.region_iterations, k
+        assert got.ceiling == want.ceiling, k
+        configs = want.graph.configs
+        new = CounterExploration(game, got.graph, got.labels, configs)
+        old = spe_reference.CounterExploration(game, want.graph, want.labels, configs)
+        assert list(new.adjacency.items()) == list(old.adjacency.items()), k
+        assert list(new.targets) == list(old.targets), k
+        assert new.coaccessible == old.coaccessible, k
+        for config in configs:
+            for i in range(game.n):
+                assert new.sup(config, i) == old.sup(config, i), (k, config, i)
+        n = game.n
+        alternating = tuple((-1) ** i for i in range(n))
+        for gamma in ((1,) * n, (-1,) * n, alternating):
+            assert gamma_min_spe(game, gamma, got) == (
+                spe_reference.gamma_min_spe(game, gamma, want)
+            ), (k, gamma)
