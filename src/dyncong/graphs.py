@@ -410,27 +410,40 @@ def shortest_path(start, nodes, edges, weight_of, targets):
 
     Nodes are numbered in the iteration order of ``nodes``; each keeps one
     adjacency list, in edge order, of ``(weight, successor id, payload)``.
-    With nonnegative weights Dijkstra runs on heap keys ``(distance, push
-    counter)``.  ``weight_of(payload)`` may be negative, in which case
-    Bellman-Ford sweeps the nodes in that numbering for at most ``|nodes|``
-    rounds; in the graphs built here every cycle has weight zero, so a round
-    that still improves raises.  Both set a node's parent only on a strict
-    improvement.  Returns ``(distance, [(u, payload, v), ...])`` to the
-    cheapest target, the first of ``targets`` on ties, or None when no
-    target is reachable.
+    Payloads are hashable, and ``weight_of`` is called once per distinct
+    payload.  With nonnegative weights Dijkstra runs on heap keys
+    ``(distance, push counter)``.  ``weight_of(payload)`` may be negative,
+    in which case Bellman-Ford sweeps the nodes in that numbering for at
+    most ``|nodes| + 1`` rounds; in the graphs built here every cycle has
+    weight zero, so a last round that still improves raises.  Both set a
+    node's parent only on a strict improvement.
+
+    A Bellman-Ford sweep scans only the nodes whose distance fell since
+    their last scan (Yen, 1970), in ascending id order: a node lowered
+    ahead of the sweep position joins the current sweep, one lowered at or
+    behind it waits for the next.  This is the full sweep minus scans that
+    cannot improve anything: a scan of u leaves ``dist[v] <= dist[u] + z``
+    on each of its edges, and distances only fall, so until ``dist[u]``
+    falls again no edge of u can improve.  The strict improvements happen
+    in the same order, so every distance, every parent and the number of
+    improving sweeps are those of the full sweep.
+
+    Returns ``(distance, [(u, payload, v), ...])`` to the cheapest target,
+    the first of ``targets`` on ties, or None when no target is reachable.
     """
     order = list(nodes)
     index = {node: k for k, node in enumerate(order)}
     adjacency: list[list] = [[] for _ in order]
-    negative = False
+    weights: dict = {}
     for u, payload, v in edges:
-        z = weight_of(payload)
-        if z < 0:
-            negative = True
+        z = weights.get(payload)
+        if z is None:
+            z = weights[payload] = weight_of(payload)
         adjacency[index[u]].append((z, index[v], payload))
+    negative = min(weights.values(), default=0) < 0
     source = index[start]
     target_ids = [index[t] for t in targets]
-    del index  # the search needs ids only; this lowers its memory peak
+    del index, weights  # the search needs ids only; this lowers its memory peak
     dist = [INF] * len(order)
     parent: list = [None] * len(order)
     dist[source] = 0
@@ -448,17 +461,28 @@ def shortest_path(start, nodes, edges, weight_of, targets):
                     heapq.heappush(heap, (d + z, counter, v))
                     counter += 1
     else:
+        queued = [False] * len(order)  # lowered since the node's last scan
+        queued[source] = True
+        later = [source]
         for _ in range(len(order) + 1):
             changed = False
-            for u, succs in enumerate(adjacency):
+            sweep, later = later, []
+            heapq.heapify(sweep)
+            while sweep:
+                u = heapq.heappop(sweep)
+                queued[u] = False
                 du = dist[u]
-                if du == INF:
-                    continue
-                for z, v, payload in succs:
+                for z, v, payload in adjacency[u]:
                     if du + z < dist[v]:
                         dist[v] = du + z
                         parent[v] = (u, payload)
                         changed = True
+                        if not queued[v]:
+                            queued[v] = True
+                            if v > u:
+                                heapq.heappush(sweep, v)
+                            else:
+                                later.append(v)
             if not changed:
                 break
         else:

@@ -17,11 +17,14 @@ gamma, under a heuristic that charges the load-one distance to the target for
 a nonnegative weight and the residual bound for a negative one
 (:func:`_min_ne_search`).  PoA and PoS need only its cost; a best NE
 (gamma >= 0) takes its witness from a bounded replay of the full-graph
-Dijkstra.  A witness for a negative weight (worst NE, mixed gamma) still comes from
-exploring the whole graph and running Bellman-Ford, whose tie-breaks only the
-whole graph fixes (see :func:`gamma_min_ne`).  Each deviation floor is
-computed once per deviation class of a configuration.  Every command builds
-the table once and runs one such search, PoA and PoS included
+Dijkstra.  A witness for a negative weight (worst NE, mixed gamma) still
+comes from exploring the whole graph and running Bellman-Ford, whose
+tie-breaks only the whole graph fixes (see :func:`gamma_min_ne`); its sweeps
+scan only the nodes whose distance fell, which keeps every tie-break
+(:func:`graphs.shortest_path`).  Each deviation floor is computed once per
+deviation class of a configuration, and a node's successor bounds are
+worked out one player column at a time.  Every command builds the table
+once and runs one such search, PoA and PoS included
 (:func:`equilibrium_ratio`).
 """
 
@@ -276,7 +279,11 @@ def _ne_successors(game: Game, values: ValueTable):
     Each configuration's transitions are worked out once, on its first
     expansion.  A deviation floor depends on the transition only through
     the other players' moves, so it is computed once per deviation class
-    ``(player, nxt without the player)`` of the configuration.
+    ``(player, nxt without the player)`` of the configuration.  The kept
+    transitions are also stored as one column per player, its weights and
+    caps across them, so a node's new bounds take n short list passes,
+    one per column; the bound tuples, their values and types, and the
+    successor order are those of a pass per transition.
     """
     tgt = game.arena.tgt
     ceiling = values.ceiling
@@ -286,13 +293,13 @@ def _ne_successors(game: Game, values: ValueTable):
     # (b_i - w_i <= Y when b_i is finite).  A player on the target pays 0
     # on its zero-cost loop and keeps bound 0, as a floor of 0 yields.  A
     # transition with a negative cap is closed from every node.
-    options: dict[Config, list] = {}
+    options: dict[Config, tuple] = {}
 
     def successors(node):
         config, bounds = node
         opts = options.get(config)
         if opts is None:
-            opts = options[config] = []
+            kept, kept_caps = [], []
             floors = {}  # per deviation class (player, nxt without them)
             for nxt, weights in graph.successors(config):
                 caps = []
@@ -303,13 +310,20 @@ def _ne_successors(game: Game, values: ValueTable):
                             game, values, config, nxt, i)
                     caps.append(min(floors[cls] - weights[i], ceiling))
                 if min(caps) >= 0:
-                    opts.append((nxt, weights, tuple(caps)))
-        result = []
-        for nxt, weights, caps in opts:
-            updated = tuple([min(b - w, c) for b, w, c in zip(bounds, weights, caps)])
-            if min(updated) >= 0:
-                result.append(((nxt, updated), weights))
-        return result
+                    kept.append((nxt, weights))
+                    kept_caps.append(caps)
+            # Per player i, the column of its weights and caps across the
+            # kept transitions.
+            opts = options[config] = (
+                kept, list(zip(zip(*[w for _, w in kept]), zip(*kept_caps))))
+        kept, columns = opts
+        # Per player, min(b - w, c) down a column, or -1 where b < w closes
+        # the transition (every kept cap c is >= 0).
+        updated = zip(*[[(x if x <= c else c) if (x := b - w) >= 0 else -1
+                         for w, c in zip(ws, cs)]
+                        for b, (ws, cs) in zip(bounds, columns)])
+        return [((nxt, bnds), weights)
+                for (nxt, weights), bnds in zip(kept, updated) if -1 not in bnds]
 
     return successors
 
@@ -458,8 +472,12 @@ def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
     The A* would give the cost for a negative weight too, but not the same
     witness: the full-graph Bellman-Ford breaks ties by the iteration order
     of the node set, which only the whole graph fixes, so those witnesses
-    keep it.  A start at the target configuration is listed first among its
-    targets, so there too the empty play wins the tie with the target loop.
+    keep it.  Its sweeps scan only the nodes whose distance fell since
+    their last scan, which makes the same strict improvements in the same
+    order as full sweeps (see :func:`graphs.shortest_path`), so the
+    witness does not change.  A start at the target configuration is
+    listed first among its targets, so there too the empty play wins the
+    tie with the target loop.
     """
     gamma = tuple(gamma)
     if len(gamma) != game.n:

@@ -495,7 +495,8 @@ def test_nash_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file,
 # Stdout of the bench's grid4 ratio and worst-NE queries and of its fig5 value
 # table, recorded before PoA became an A* search under a bound-aware
 # heuristic and the coalition move table stopped costing distributions.
-# The 470,094-byte ``values`` line is pinned by its SHA-256 digest.
+# The mixed-gamma grid4 lines were recorded before Bellman-Ford scanned only
+# the nodes whose distance fell.  The 470,094-byte ``values`` line is pinned by its SHA-256 digest.
 POA_GRID4_N2 = (
     '{"command": "poa", "social_optimum": 23, "worst_ne": 27, "ratio": {"num": 27, "den": 23}, "decimal": 1.173913043478261}\n'
 )
@@ -511,6 +512,24 @@ NE_WORST_GRID4_N2 = (
     '{"moves": [["r3c2", "r3c3"], ["r3c1", "r3c2"]], "weights": [3, 2], "config": ["r3c3", "r3c2"]}, '
     '{"moves": [["r3c3", "r3c3"], ["r3c2", "r3c3"]], "weights": [0, 3], "config": ["r3c3", "r3c3"]}]}}\n'
 )
+NE_GAMMA1M1_GRID4_N2 = (
+    '{"command": "ne", "gamma": [1, -1], "cost": -3, "social": 25, "witness": {"steps": [{"moves": [["r0c0", "r1c0"], ["r0c0", "r0c0"]], "weights": [2, 1], "config": ["r1c0", "r0c0"]}, '
+    '{"moves": [["r1c0", "r2c0"], ["r0c0", "r0c1"]], "weights": [2, 1], "config": ["r2c0", "r0c1"]}, '
+    '{"moves": [["r2c0", "r3c0"], ["r0c1", "r1c1"]], "weights": [1, 3], "config": ["r3c0", "r1c1"]}, '
+    '{"moves": [["r3c0", "r3c1"], ["r1c1", "r1c2"]], "weights": [1, 1], "config": ["r3c1", "r1c2"]}, '
+    '{"moves": [["r3c1", "r3c2"], ["r1c2", "r1c3"]], "weights": [2, 1], "config": ["r3c2", "r1c3"]}, '
+    '{"moves": [["r3c2", "r3c3"], ["r1c3", "r2c3"]], "weights": [3, 3], "config": ["r3c3", "r2c3"]}, '
+    '{"moves": [["r3c3", "r3c3"], ["r2c3", "r3c3"]], "weights": [0, 4], "config": ["r3c3", "r3c3"]}]}}\n'
+)
+NE_GAMMAM11_GRID4_N2 = (
+    '{"command": "ne", "gamma": [-1, 1], "cost": -3, "social": 25, "witness": {"steps": [{"moves": [["r0c0", "r0c0"], ["r0c0", "r1c0"]], "weights": [1, 2], "config": ["r0c0", "r1c0"]}, '
+    '{"moves": [["r0c0", "r0c1"], ["r1c0", "r2c0"]], "weights": [1, 2], "config": ["r0c1", "r2c0"]}, '
+    '{"moves": [["r0c1", "r1c1"], ["r2c0", "r3c0"]], "weights": [3, 1], "config": ["r1c1", "r3c0"]}, '
+    '{"moves": [["r1c1", "r1c2"], ["r3c0", "r3c1"]], "weights": [1, 1], "config": ["r1c2", "r3c1"]}, '
+    '{"moves": [["r1c2", "r2c2"], ["r3c1", "r3c2"]], "weights": [2, 2], "config": ["r2c2", "r3c2"]}, '
+    '{"moves": [["r2c2", "r3c2"], ["r3c2", "r3c3"]], "weights": [3, 3], "config": ["r3c2", "r3c3"]}, '
+    '{"moves": [["r3c2", "r3c3"], ["r3c3", "r3c3"]], "weights": [3, 0], "config": ["r3c3", "r3c3"]}]}}\n'
+)
 VALUES_FIG5_N6_SHA256 = "2e42b87083e69b551220a3a902f2aff5958ab53ed45a9d5b79be027aa068d888"  # 470094 bytes
 
 
@@ -524,8 +543,19 @@ def test_bench_nash_stdout_bytes_pinned(capsys, tmp_path, fig5_file):
         (("poa",), POA_GRID4_N2),
         (("pos",), POS_GRID4_N2),
         (("ne", "--worst"), NE_WORST_GRID4_N2),
+        (("ne", "--gamma", "1,-1"), NE_GAMMA1M1_GRID4_N2),
+        (("ne", "--gamma=-1,1"), NE_GAMMAM11_GRID4_N2),
     ]:
         assert invoke_raw(capsys, *flags, *game)[:2] == (0, out), flags
+    # The same grid with its states and edges declared in reverse order
+    # numbers the configurations, and so the Bellman-Ford sweep, differently.
+    data = json.loads(grid4.read_text())
+    data["states"].reverse()
+    data["edges"].reverse()
+    reversed_grid4 = tmp_path / "grid4_reversed.json"
+    reversed_grid4.write_text(json.dumps(data))
+    assert invoke_raw(capsys, "ne", "--worst", "--arena", str(reversed_grid4),
+                      "--players", "2")[:2] == (0, NE_WORST_GRID4_N2)
     code, out, _ = invoke_raw(capsys, "values", "--arena", fig5_file, "--players", "6")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VALUES_FIG5_N6_SHA256

@@ -309,3 +309,74 @@ def test_shortest_path_matches_dict_reference():
                 expected = _dict_shortest_path(start, nodes, edges, weigh, targets)
                 assert shortest_path(start, nodes, edges, weigh, targets) == expected, (
                     k, gamma)
+
+
+def _potential_graph(rng):
+    """A random graph whose every cycle weighs at least zero: edge u -> v
+    has payload ``(phi(u) - phi(v), s)`` with slack ``s >= 0``, mostly 0,
+    so zero-weight cycles, mixed signs and tied paths are common and many
+    edges share a payload.  Node labels are int tuples held in a set, whose
+    iteration order differs from the order they were made in."""
+    labels = [(rng.randrange(1000), k) for k in range(rng.randint(5, 40))]
+    phi = {u: rng.randint(-6, 6) for u in labels}
+    edges = []
+    for _ in range(rng.randint(len(labels), 4 * len(labels))):
+        u, v = rng.choice(labels), rng.choice(labels)
+        slack = 0 if rng.random() < 0.6 else rng.randint(1, 3)
+        edges.append((u, (phi[u] - phi[v], slack), v))
+    targets = rng.sample(labels, rng.randint(1, 3))
+    return rng.choice(labels), set(labels), edges, targets
+
+
+def _full_sweep_events(start, nodes, edges, weight_of):
+    """Replays the full Bellman-Ford sweep and reports whether some node was
+    lowered twice within one sweep, and whether some node was lowered at or
+    behind the sweep position (so only the next sweep can scan it)."""
+    order = list(nodes)
+    index = {node: k for k, node in enumerate(order)}
+    dist = {start: 0}
+    twice = behind = False
+    for _ in range(len(order) + 1):
+        lowered: dict = {}
+        for u in order:
+            if u not in dist:
+                continue
+            du = dist[u]
+            for x, payload, v in edges:
+                if x == u and du + weight_of(payload) < dist.get(v, INF):
+                    dist[v] = du + weight_of(payload)
+                    lowered[v] = lowered.get(v, 0) + 1
+                    twice |= lowered[v] > 1
+                    behind |= index[v] <= index[u]
+        if not lowered:
+            return twice, behind
+    raise AssertionError("negative cycle")
+
+
+def test_lowered_node_sweep_matches_dict_reference_on_synthetic_graphs():
+    # Same distance and same path, ties included, as the full sweep of the
+    # reference on graphs with zero-weight cycles and ties; the graphs must
+    # make the sweep lower a node twice in one sweep and lower a node
+    # behind the sweep position.
+    rng = random.Random(14)
+    weigh = lambda payload: payload[0] + payload[1]
+    seen = {"twice": 0, "behind": 0, "bellman_ford": 0}
+    for k in range(300):
+        start, nodes, edges, targets = _potential_graph(rng)
+        expected = _dict_shortest_path(start, nodes, edges, weigh, targets)
+        assert shortest_path(start, nodes, edges, weigh, targets) == expected, k
+        if any(weigh(p) < 0 for _, p, _ in edges):
+            twice, behind = _full_sweep_events(start, nodes, edges, weigh)
+            seen["bellman_ford"] += 1
+            seen["twice"] += twice
+            seen["behind"] += behind
+    assert min(seen.values()) >= 20, seen
+
+
+def test_shortest_path_raises_on_a_negative_cycle():
+    cycle = [(0, -1, 1), (1, 0, 2), (2, 0, 0), (2, 5, 3)]
+    with pytest.raises(AssertionError):
+        shortest_path(0, {0, 1, 2, 3}, cycle, lambda z: z, [3])
+    loop = [(0, 2, 1), (1, -1, 1)]
+    with pytest.raises(AssertionError):
+        shortest_path(0, {0, 1}, loop, lambda z: z, [1])
