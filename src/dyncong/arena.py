@@ -8,6 +8,7 @@ state carries an implicit zero-cost self-loop that files may omit.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -43,9 +44,6 @@ class Arena:
         except ValueError:
             raise ArenaError(f"unknown state {name!r}") from None
 
-    def name(self, idx: int) -> str:
-        return self.states[idx]
-
 
 @dataclass(frozen=True)
 class Game:
@@ -57,6 +55,13 @@ class Game:
     def __post_init__(self):
         if self.n < 1:
             raise ArenaError(f"player count must be >= 1, got {self.n}")
+
+    @functools.cached_property
+    def view(self):
+        """The game's tables (:class:`graphs.GameView`), built on first use."""
+        from .graphs import GameView  # graphs imports this module
+
+        return GameView(self)
 
 
 def build_arena(states, edges, src, tgt) -> Arena:

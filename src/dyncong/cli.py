@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 
@@ -481,10 +482,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_gamma(argv) -> list[str]:
+    """``--gamma -1,1`` as ``--gamma=-1,1``; argparse takes -1,1 for an option."""
+    argv = list(argv)
+    for k in range(len(argv) - 2, -1, -1):
+        if argv[k] == "--gamma" and re.fullmatch(r"-\d.*", argv[k + 1]):
+            argv[k:k + 2] = ["--gamma=" + argv[k + 1]]
+    return argv
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_gamma(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     started = time.perf_counter()

@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 
 from .arena import Arena, Game
-from .graphs import Edge, eval_path, target_distances
+from .graphs import Edge, eval_path
 
 
 class StrategyError(ValueError):
@@ -31,9 +31,6 @@ class BlindStrategy:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def states(self) -> list[int]:
-        return [self.edges[0][0]] + [v for _, v in self.edges]
 
     def to_names(self, arena: Arena) -> list[list[str]]:
         return [[arena.states[u], arena.states[v]] for u, v in self.edges]
@@ -115,44 +112,42 @@ def loads_at(profile: BlindProfile, j: int, skip=None) -> dict[Edge, int]:
 def potential(game: Game, profile: BlindProfile) -> int:
     """Rosenthal-style potential: per step and edge, the cost of stacking the
     edge's users one by one."""
+    view = game.view
     total = 0
     for j in range(1, profile.horizon + 1):
         for edge, load in loads_at(profile, j).items():
-            fn = game.arena.edges[edge]
-            total += sum(fn(i) for i in range(1, load + 1))
+            total += sum(view.cost[view.edge_id[edge]][:load])
     return total
 
 
-def _layered_search(arena: Arena, loads: list[dict[Edge, int]]):
+def _layered_search(game: Game, loads: list[dict[Edge, int]]):
     """Cheapest strategy and its cost in a layered graph: one arena copy per
-    entry of ``loads``, in which an edge costs ``fn(load + 1)``, then a final
-    copy with single-user costs.  Each layer's charged weights are built once
-    per call, for its loaded edges only; ties break as the module says.
+    entry of ``loads``, in which an edge costs ``d(load + 1)``, then a final
+    copy with single-user costs.  Edge ids, cost rows and ``dist1`` come
+    from the game's tables (``Game.view``); each layer's charged weights are
+    read once per call, for its loaded edges only; ties break as the module
+    says.
 
-    The search is A* under the load-one distance h = ``target_distances``
-    with heap key ``(g + h(state), length, trail)``, and it returns the path
-    that Dijkstra under the key ``(g, length, trail)`` returns:
+    The search is A* under the load-one distance h = ``dist1`` with heap
+    key ``(g + h(state), length, trail)``, and it returns the path that
+    Dijkstra under the key ``(g, length, trail)`` returns:
     - costs do not decrease with load, so every layered weight is at least
-      the ``fn(1)`` that h is built from; h is consistent and 0 at the target;
+      the ``d(1)`` that h is built from; h is consistent and 0 at the target;
     - two paths to the same node end in the same state, so they have the same
       h, and their A* keys compare exactly as their Dijkstra keys do;
     - keys strictly increase along an edge, because the length grows by one;
     - hence every node is first popped through the same lexicographically
       least path, and so is the first target node popped.
     """
+    arena, view = game.arena, game.view
     if arena.src == arena.tgt:
         return blind_strategy(arena, ((arena.tgt, arena.tgt),)), 0
     horizon = len(loads)
-    order = {edge: k for k, edge in enumerate(arena.edge_list)}
-    options = [
-        [(succ, order[(state, succ)], fn(1)) for succ, fn in arena.out[state]]
-        for state in range(len(arena.states))
-    ]
+    edge_id, rows, dist = view.edge_id, view.cost, view.dist1
     layers = [
-        {order[e]: arena.edges[e](load + 1) for e, load in layer.items()}
+        {edge_id[e]: rows[edge_id[e]][load] for e, load in layer.items()}
         for layer in loads
     ] + [{}]
-    dist = target_distances(arena)
     heap = [(dist[arena.src], 0, (), 0, arena.src, 0)]
     done = set()
     while heap:
@@ -165,10 +160,10 @@ def _layered_search(arena: Arena, loads: list[dict[Edge, int]]):
             assert len(edges) <= horizon + len(arena.states)
             return blind_strategy(arena, edges), cost
         charged, nxt_layer = layers[layer], min(layer + 1, horizon)
-        for succ, k, weight in options[state]:
+        for succ, k, row in view.out[state]:
             if (succ, nxt_layer) in done:
                 continue
-            g = cost + charged.get(k, weight)
+            g = cost + charged.get(k, row[0])
             heapq.heappush(
                 heap,
                 (g + dist[succ], length + 1, trail + (k,), g, succ, nxt_layer),
@@ -187,28 +182,24 @@ def best_response(game: Game, profile: BlindProfile, player: int):
     loads = [
         loads_at(profile, j, skip=player) for j in range(1, profile.horizon + 1)
     ]
-    return _layered_search(game.arena, loads)
+    return _layered_search(game, loads)
 
 
 def single_player_shortest(arena: Arena) -> BlindStrategy:
     """Lexicographically least cheapest src -> tgt path for a lone player."""
-    return _layered_search(arena, [])[0]
+    return _layered_search(Game(arena, 1), [])[0]
 
 
-def blind_ne(game: Game, initial: BlindProfile | None = None):
+def blind_ne(game: Game):
     """Computes a blind Nash equilibrium by best-response iteration.
 
-    Starts from everyone on the single-player shortest path (unless given a
-    profile), then repeatedly replaces the first player, in index order, who
-    has a strictly cheaper best response.  Every swap decreases the potential
-    by at least one, which bounds the number of swaps by the initial
-    potential.  Returns the profile and the number of swaps performed.
+    Starts from everyone on the single-player shortest path, then repeatedly
+    replaces the first player, in index order, who has a strictly cheaper
+    best response.  Every swap decreases the potential by at least one,
+    which bounds the number of swaps by the initial potential.  Returns the
+    profile and the number of swaps performed.
     """
-    if initial is None:
-        base = single_player_shortest(game.arena)
-        profile = BlindProfile((base,) * game.n)
-    else:
-        profile = initial
+    profile = BlindProfile((_layered_search(game, [])[0],) * game.n)
     swaps = 0
     cap = potential(game, profile)
     while True:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -84,16 +85,35 @@ def target_distances(arena: Arena) -> list[int]:
     return dist
 
 
-def moves_for(arena: Arena, config: Config):
-    """All move vectors from ``config``, in canonical edge order per player.
-
-    Lazy: the product of per-player out-degrees can be huge for many
-    players, and callers guard their enumeration against the node budget.
+class GameView:
+    """The tables every solver reads, built once per game (``Game.view``):
+    ``edge_id`` (index in ``arena.edge_list``), per edge ``cost[e] = (d_e(1),
+    ..., d_e(n))``, per state ``out[v]``, its ``(successor, edge id, cost
+    row)`` in ``arena.out`` order, and ``dist1`` (:func:`target_distances`).
     """
-    per_player = [
-        [(state, succ) for succ, _ in arena.out[state]] for state in config
-    ]
-    return (tuple(combo) for combo in itertools.product(*per_player))
+
+    def __init__(self, game: Game):
+        arena = game.arena
+        self.edge_id = {edge: k for k, edge in enumerate(arena.edge_list)}
+        self.cost = [
+            tuple(arena.edges[edge](load) for load in range(1, game.n + 1))
+            for edge in arena.edge_list
+        ]
+        self.out = [[] for _ in arena.states]
+        for k, (u, v) in enumerate(arena.edge_list):  # the order of arena.out
+            self.out[u].append((v, k, self.cost[k]))
+        self.dist1 = target_distances(arena)
+
+    def joint_steps(self, config: Config) -> list[tuple[Config, tuple[int, ...]]]:
+        """Every ``(nxt, weights)`` step from ``config``, in product order
+        over the players' out-edges; unlike :func:`step`, it validates
+        nothing."""
+        steps = []
+        for combo in itertools.product(*[self.out[s] for s in config]):
+            nxt, ids, rows = zip(*combo)
+            steps.append((nxt, tuple(
+                row[ids.count(e) - 1] for e, row in zip(ids, rows))))
+        return steps
 
 
 def step(game: Game, config: Config, moves: MoveVector):
@@ -123,21 +143,6 @@ def step(game: Game, config: Config, moves: MoveVector):
     return tuple(weights), tuple(nxt)
 
 
-def moves_between(arena: Arena, config: Config, nxt: Config) -> MoveVector:
-    """The unique move vector realizing ``config => nxt``.
-
-    Well defined because there is at most one edge per ordered state pair.
-    """
-    moves = []
-    for u, v in zip(config, nxt):
-        if (u, v) not in arena.edges:
-            raise SemanticsError(
-                f"no edge {arena.states[u]} -> {arena.states[v]} in the arena"
-            )
-        moves.append((u, v))
-    return tuple(moves)
-
-
 @dataclass(frozen=True)
 class OutcomePath:
     """A finite play: a start configuration and chained weighted joint steps."""
@@ -148,9 +153,6 @@ class OutcomePath:
     def configs(self) -> list[Config]:
         return [self.start] + [nxt for _, _, nxt in self.steps]
 
-    def n(self) -> int:
-        return len(self.start)
-
     def cost(self, player: int) -> int:
         """Sum of the weights charged to ``player`` (0-based) along the path."""
         return sum(w[player] for _, w, _ in self.steps)
@@ -158,7 +160,7 @@ class OutcomePath:
     def suffix_costs(self) -> list[tuple[int, ...]]:
         """Per-player cost of the path from each configuration on: entry l
         belongs to configuration l, so the last entry is all zeros."""
-        suffix = (0,) * self.n()
+        suffix = (0,) * len(self.start)
         suffixes = [suffix]
         for _, weights, _ in reversed(self.steps):
             suffix = tuple(s + w for s, w in zip(suffix, weights))
@@ -227,15 +229,24 @@ def path_from_json(game: Game, data) -> OutcomePath:
     return OutcomePath(start=start, steps=tuple(built))
 
 
+def replay(game: Game, start: Config, moves_list) -> OutcomePath:
+    """Plays move vectors from ``start`` through :func:`step`; every
+    outcome path is built or checked by this loop."""
+    config = start
+    steps = []
+    for moves in moves_list:
+        moves = tuple(moves)
+        weights, config = step(game, config, moves)
+        steps.append((moves, weights, config))
+    return OutcomePath(start=start, steps=tuple(steps))
+
+
 def path_from_configs(game: Game, configs: list[Config]) -> OutcomePath:
     """Builds an outcome path through the given configurations, recomputing
     move vectors and weights."""
-    steps = []
-    for cur, nxt in zip(configs, configs[1:]):
-        moves = moves_between(game.arena, cur, nxt)
-        weights, _ = step(game, cur, moves)
-        steps.append((moves, weights, nxt))
-    return OutcomePath(start=configs[0], steps=tuple(steps))
+    return replay(game, configs[0], [
+        tuple(zip(cur, nxt)) for cur, nxt in zip(configs, configs[1:])
+    ])
 
 
 def check_outcome_shape(game: Game, path: OutcomePath) -> None:
@@ -246,12 +257,10 @@ def check_outcome_shape(game: Game, path: OutcomePath) -> None:
         raise SemanticsError("path must start at the initial configuration")
     if path.configs()[-1] != target_config(game):
         raise SemanticsError("path must end with every player at the target")
-    config = path.start
-    for moves, weights, nxt in path.steps:
-        recomputed, result = step(game, config, moves)
+    replayed = replay(game, path.start, [moves for moves, _, _ in path.steps])
+    for (_, weights, nxt), (_, recomputed, result) in zip(path.steps, replayed.steps):
         if result != nxt or recomputed != tuple(weights):
             raise SemanticsError("path weights or configurations are inconsistent")
-        config = nxt
 
 
 def eval_path(game: Game, moves_list) -> tuple[tuple, object, OutcomePath]:
@@ -262,17 +271,11 @@ def eval_path(game: Game, moves_list) -> tuple[tuple, object, OutcomePath]:
     Weights supplied by callers are ignored; everything is recomputed from
     loads.
     """
-    config = initial_config(game)
-    steps = []
-    for moves in moves_list:
-        weights, nxt = step(game, config, tuple(moves))
-        steps.append((tuple(moves), weights, nxt))
-        config = nxt
-    path = OutcomePath(start=initial_config(game), steps=tuple(steps))
+    path = replay(game, initial_config(game), moves_list)
     tgt = game.arena.tgt
     costs = []
     for i in range(game.n):
-        reached = path.start[i] == tgt or any(nxt[i] == tgt for _, _, nxt in steps)
+        reached = path.start[i] == tgt or any(nxt[i] == tgt for _, _, nxt in path.steps)
         costs.append(path.cost(i) if reached else INF)
     social = sum(costs)
     return tuple(costs), social, path
@@ -353,19 +356,15 @@ def dev_set(game: Game, config: Config, nxt: Config, player: int):
     the chosen edge at one plus the number of *other* players taking that
     same edge under the prescribed step.
     """
-    arena = game.arena
-    moves = moves_between(arena, config, nxt)
-    other_loads: dict[Edge, int] = {}
-    for j, edge in enumerate(moves):
-        if j != player:
-            other_loads[edge] = other_loads.get(edge, 0) + 1
+    here = config[player]
+    # The heads of the other players who leave the player's state.
+    others = [v for j, (u, v) in enumerate(zip(config, nxt))
+              if j != player and u == here]
     result = []
-    for succ, fn in arena.out[config[player]]:
-        edge = (config[player], succ)
-        cost = fn(1 + other_loads.get(edge, 0))
+    for succ, _, row in game.view.out[here]:
         dev = list(nxt)
         dev[player] = succ
-        result.append((tuple(dev), cost))
+        result.append((tuple(dev), row[others.count(succ)]))
     return result
 
 
@@ -381,7 +380,9 @@ class ReachableGraph:
 
 
 def reachable_graph(game: Game) -> ReachableGraph:
+    """Reachable configurations in discovery order, with their joint steps."""
     budget = node_budget()
+    view = game.view
     start = initial_config(game)
     seen = {start}
     order = [start]
@@ -390,18 +391,15 @@ def reachable_graph(game: Game) -> ReachableGraph:
     work = 0
     while frontier:
         config = frontier.pop()
-        succs = []
-        for moves in moves_for(game.arena, config):
-            work += 1
-            if work > budget:
-                raise BudgetExceeded("configuration graph above node budget")
-            weights, nxt = step(game, config, moves)
-            succs.append((nxt, weights))
+        work += math.prod(len(view.out[s]) for s in config)
+        if work > budget:
+            raise BudgetExceeded("configuration graph above node budget")
+        succs = transitions[config] = view.joint_steps(config)
+        for nxt, _ in succs:
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
                 frontier.append(nxt)
-        transitions[config] = succs
     return ReachableGraph(configs=order, transitions=transitions)
 
 
@@ -533,7 +531,7 @@ def lift_abstract_path(game: Game, dists: list[dict]) -> OutcomePath:
     """
     arena = game.arena
     config = initial_config(game)
-    steps = []
+    moves_list = []
     for dist in dists:
         remaining = dict(dist)
         moves = []
@@ -548,7 +546,6 @@ def lift_abstract_path(game: Game, dists: list[dict]) -> OutcomePath:
             if chosen is None:
                 raise SemanticsError("abstract step does not cover a player")
             moves.append(chosen)
-        weights, nxt = step(game, config, tuple(moves))
-        steps.append((tuple(moves), weights, nxt))
-        config = nxt
-    return OutcomePath(start=initial_config(game), steps=tuple(steps))
+        moves_list.append(moves)
+        config = tuple(v for _, v in moves)
+    return replay(game, initial_config(game), moves_list)

@@ -8,11 +8,13 @@ punishing strategy profile built.  Since the game is symmetric, that value
 only depends on the player's own state and the multiset of coalition
 positions, so one value table serves every player.  :func:`compute_values`
 solves it by in-place sweeps over integer-indexed value states in order of
-hop distance to the target, reading each edge cost from a per-edge table; a
-sweep that changes nothing is the greatest fixpoint (see its docstring).
-Optimal (best or worst) Nash equilibria come from a shortest-path search over
-the configuration graph augmented with per-player residual bounds that encode
-"no pending deviation is profitable".  The on-demand search is A* for every
+hop distance to the target, reading each edge cost from the game's cost
+rows (``Game.view``); a sweep that changes nothing is the greatest fixpoint
+(see its docstring).  Optimal (best or worst) Nash equilibria come from a
+shortest-path search over the configuration graph augmented with per-player
+residual bounds that encode "no pending deviation is profitable".  Its
+successors are generated on demand from each configuration's joint steps,
+with no configuration graph built first.  The on-demand search is A* for every
 gamma, under a heuristic that charges the load-one distance to the target for
 a nonnegative weight and the residual bound for a negative one
 (:func:`_min_ne_search`).  PoA and PoS need only its cost; a best NE
@@ -46,12 +48,11 @@ from .graphs import (
     check_outcome_shape,
     cheapest_outcome,
     compositions,
+    dev_set,
     initial_config,
     node_budget,
     path_from_configs,
-    reachable_graph,
     target_config,
-    target_distances,
 )
 from .socopt import social_optimum
 
@@ -105,8 +106,9 @@ def compute_values(game: Game) -> ValueTable:
     the player, who can read the coalition strategy, picks their own edge;
     the player pays their edge's cost at one plus the coalition load on that
     same edge.  Value state ``(own, counts)`` has integer id
-    ``count_index * |V| + own``; each player edge's cost is tabulated once
-    as ``(d(1), ..., d(n))`` and indexed by the coalition load.
+    ``count_index * |V| + own``; each player edge's cost is read from the
+    game's cost row ``(d(1), ..., d(n))`` (``Game.view``), indexed by the
+    coalition load.
 
     Values start at +inf off the target (0 on it) and are updated in place
     (Gauss-Seidel), each sweep visiting the non-target states in ascending
@@ -139,17 +141,7 @@ def compute_values(game: Game) -> ValueTable:
     count_index = {counts: ci for ci, counts in enumerate(all_counts)}
     total = len(all_counts) * num_states
 
-    # Edge ids follow state order, then out-edge order.
-    edges = [(v, succ) for v in range(num_states) for succ, _ in arena.out[v]]
-    edge_id = {edge: k for k, edge in enumerate(edges)}
-    options = [
-        [
-            (succ, tuple(fn(load) for load in range(1, game.n + 1)),
-             edge_id[(v, succ)])
-            for succ, fn in arena.out[v]
-        ]
-        for v in range(num_states)
-    ]
+    out, edges = game.view.out, arena.edge_list
     # Per coalition state: (per-edge coalition loads, successor id base) for
     # each coalition distribution, the product over the occupied states of
     # the ways to spread their players over their out-edges, each spread
@@ -157,8 +149,8 @@ def compute_values(game: Game) -> ValueTable:
     @functools.cache
     def spreads(v, count):
         return [
-            [(eid, c) for (_, _, eid), c in zip(options[v], combo) if c]
-            for combo in compositions(count, len(options[v]))
+            [(eid, c) for (_, eid, _), c in zip(out[v], combo) if c]
+            for combo in compositions(count, len(out[v]))
         ]
 
     moves: list[list[tuple[tuple[int, ...], int]]] = []
@@ -181,7 +173,7 @@ def compute_values(game: Game) -> ValueTable:
         (s for s in range(total) if s % num_states != tgt),
         key=lambda s: (hops[s % num_states] + count_hops[s // num_states], s),
     )
-    sweep = [(s, options[s % num_states], moves[s // num_states]) for s in order]
+    sweep = [(s, out[s % num_states], moves[s // num_states]) for s in order]
 
     values: list[float] = [INF] * total
     for s in range(tgt, total, num_states):
@@ -193,8 +185,8 @@ def compute_values(game: Game) -> ValueTable:
             worst = -1
             for loads, base in row:
                 response = INF
-                for succ, table, eid in opts:
-                    r = table[loads[eid]] + values[base + succ]
+                for succ, eid, row in opts:
+                    r = row[loads[eid]] + values[base + succ]
                     if r < response:
                         response = r
                         if r <= worst:
@@ -244,24 +236,17 @@ def deviation_floor(game: Game, values: ValueTable, config: Config,
                     nxt: Config, player: int) -> int:
     """Least cost ``player`` can secure by deviating from config => nxt.
 
-    A deviation along ``(config[player], s)`` pays that edge at one plus the
-    other players' load on it, then faces the coalition's value at ``nxt``
-    with the player moved to s.  The coalition counts are those of ``nxt``
-    without the player, whatever s is, so they are counted once.
+    Each deviation of :func:`graphs.dev_set` pays its step cost, then faces
+    the coalition's value at the deviated configuration.  The coalition
+    counts are those of ``nxt`` without the player, whatever the deviation,
+    so they are counted once.
     """
-    arena = game.arena
-    here = config[player]
-    counts = [0] * len(arena.states)
-    loads = [0] * len(arena.states)  # other players' load on (here, s), by s
-    for j, (u, v) in enumerate(zip(config, nxt)):
-        if j != player:
-            counts[v] += 1
-            loads[v] += u == here
+    counts = [0] * len(game.arena.states)
+    for state in nxt[:player] + nxt[player + 1:]:
+        counts[state] += 1
     key = tuple(counts)
-    return min(
-        fn(1 + loads[succ]) + values.values[(succ, key)]
-        for succ, fn in arena.out[here]
-    )
+    return min(cost + values.values[(dev[player], key)]
+               for dev, cost in dev_set(game, config, nxt, player))
 
 
 def _start_node(game: Game):
@@ -273,21 +258,23 @@ def _ne_successors(game: Game, values: ValueTable):
 
     Nodes are ``(configuration, bounds)`` with bounds in [0, Y] or +inf.
     ``successors(node)`` lists ``((nxt, bounds'), weights)`` in the order of
-    the configuration graph's transitions, keeping the edges on which every
-    updated bound stays nonnegative.  Bounds above the ceiling Y are clamped
-    to Y, which is sound because no equilibrium suffix costs more than Y.
-    Each configuration's transitions are worked out once, on its first
-    expansion.  A deviation floor depends on the transition only through
-    the other players' moves, so it is computed once per deviation class
-    ``(player, nxt without the player)`` of the configuration.  The kept
-    transitions are also stored as one column per player, its weights and
-    caps across them, so a node's new bounds take n short list passes,
-    one per column; the bound tuples, their values and types, and the
-    successor order are those of a pass per transition.
+    the configuration's joint steps (:meth:`graphs.GameView.joint_steps`),
+    keeping the edges on which every updated bound stays nonnegative.
+    Bounds above the ceiling Y are clamped to Y, which is sound because no
+    equilibrium suffix costs more than Y.  Each configuration's joint steps
+    are generated on its first expansion and kept for this successor
+    function only; no configuration graph is built beforehand.  A deviation
+    floor depends on the transition only through the other players' moves,
+    so it is computed once per deviation class ``(player, nxt without the
+    player)`` of the configuration.  The kept transitions are also stored
+    as one column per player, its weights and caps across them, so a node's
+    new bounds take n short list passes, one per column; the bound tuples,
+    their values and types, and the successor order are those of a pass per
+    transition.
     """
     tgt = game.arena.tgt
     ceiling = values.ceiling
-    graph = reachable_graph(game)
+    joint_steps = game.view.joint_steps
     # Per configuration, its transitions as (nxt, weights, caps) with
     # caps_i = min(floor_i - w_i, Y): the new bound is min(b_i - w_i, caps_i)
     # (b_i - w_i <= Y when b_i is finite).  A player on the target pays 0
@@ -301,7 +288,7 @@ def _ne_successors(game: Game, values: ValueTable):
         if opts is None:
             kept, kept_caps = [], []
             floors = {}  # per deviation class (player, nxt without them)
-            for nxt, weights in graph.successors(config):
+            for nxt, weights in joint_steps(config):
                 caps = []
                 for i, state in enumerate(config):
                     cls = (i, nxt[:i] + nxt[i + 1:])
@@ -355,12 +342,12 @@ def _heuristic(game: Game, gamma, ceiling: int):
     + sum over gamma_i < 0 of gamma_i * min(b_i, Y)``, Y the value ceiling.
 
     A lower bound on the gamma-cost still to pay: a player at state v pays
-    at least ``dist_1(v)`` before reaching the target
-    (:func:`graphs.target_distances`), and at most their bound b_i, since
-    each step leaves a nonnegative bound ``b'_i <= b_i - w_i``.  See
-    :func:`_min_ne_search` for why it is consistent.
+    at least ``dist_1(v)`` before reaching the target (``Game.view.dist1``),
+    and at most their bound b_i, since each step leaves a nonnegative bound
+    ``b'_i <= b_i - w_i``.  See :func:`_min_ne_search` for why it is
+    consistent.
     """
-    dist1 = target_distances(game.arena)
+    dist1 = game.view.dist1
 
     def h(node):
         config, bounds = node

@@ -8,8 +8,8 @@ the heuristic
     h(a) = sum over states v of a_v * dist_1(v),
 
 where ``dist_1(v)`` is the cheapest route from v to the target for a lone
-player, under the load-one costs ``d_e(1)``; one reverse Dijkstra
-(``graphs.target_distances``) computes it.
+player, under the load-one costs ``d_e(1)``, read from the game's tables
+(``Game.view``) like every edge cost here.
 The heuristic is consistent: a joint step from ``a`` to ``a'`` that puts
 ``c_e`` players on each edge ``e = (u, v)`` weighs
 ``w = sum_e c_e * d_e(c_e) >= sum_e c_e * d_e(1)``, because costs do not
@@ -60,7 +60,6 @@ from .graphs import (
     parikh,
     initial_config,
     target_config,
-    target_distances,
 )
 
 
@@ -79,10 +78,9 @@ class SuccessorFold:
     """
 
     def __init__(self, game: Game):
-        self.arena = game.arena
-        num_states = len(self.arena.states)
+        self.view = game.view
+        num_states = len(game.arena.states)
         self.place = [(game.n + 1) ** (num_states - 1 - v) for v in range(num_states)]
-        self.dist1 = target_distances(self.arena)
         self._options: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
     def encode(self, abstract) -> int:
@@ -96,7 +94,7 @@ class SuccessorFold:
         return tuple(counts)
 
     def heuristic(self, node: int) -> int:
-        return sum(c * d for c, d in zip(self.decode(node), self.dist1))
+        return sum(c * d for c, d in zip(self.decode(node), self.view.dist1))
 
     def options(self, state: int, count: int) -> list[tuple[int, int, int]]:
         """``(weight, h, delta)`` per composition of ``count`` over the
@@ -104,14 +102,14 @@ class SuccessorFold:
         heuristic of the players moved, and their encoded successor counts."""
         cached = self._options.get((state, count))
         if cached is None:
-            outs = self.arena.out[state]
+            outs = self.view.out[state]
             cached = []
             for combo in compositions(count, len(outs)):
                 weight = h = delta = 0
-                for moved, (succ, fn) in zip(combo, outs):
+                for moved, (succ, _, row) in zip(combo, outs):
                     if moved:
-                        weight += moved * fn(moved)
-                        h += moved * self.dist1[succ]
+                        weight += moved * row[moved - 1]
+                        h += moved * self.view.dist1[succ]
                         delta += moved * self.place[succ]
                 cached.append((weight, h, delta))
             self._options[(state, count)] = cached
@@ -156,9 +154,9 @@ class SuccessorFold:
         dist = {}
         for state, count in reversed(occupied):  # last state = lowest digit
             choice, j = divmod(choice, len(self.options(state, count)))
-            outs = self.arena.out[state]
+            outs = self.view.out[state]
             combo = next(itertools.islice(compositions(count, len(outs)), j, None))
-            for moved, (succ, _) in zip(combo, outs):
+            for moved, (succ, _, _) in zip(combo, outs):
                 if moved:
                     dist[(state, succ)] = moved
         return dist

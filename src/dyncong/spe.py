@@ -39,7 +39,6 @@ from .graphs import (
     node_budget,
     reachable_graph,
     target_config,
-    target_distances,
 )
 
 EdgeKey = tuple[Config, Config]
@@ -77,7 +76,7 @@ class CounterExploration:
     admissible lower-bound pruning of A*, Hart, Nilsson and Raphael, 1968):
     a successor is dropped when some counter it updates is below
     ``dist1[state]``, the load-one distance of that player's new state to
-    the target (``graphs.target_distances``).  That is sound:
+    the target (``Game.view.dist1``).  That is sound:
 
     - ``validate_pieces`` makes costs nonnegative and non-decreasing in load,
       so player i pays at least ``dist1[state_i]`` before reaching the
@@ -107,7 +106,7 @@ class CounterExploration:
                  starts, counter_bound=None):
         n = game.n
         tgt = game.arena.tgt
-        dist1 = target_distances(game.arena)
+        dist1 = game.view.dist1
         tgt_cfg = target_config(game)
         budget = node_budget()
         bound = INF if counter_bound is None else counter_bound

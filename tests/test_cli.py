@@ -561,6 +561,20 @@ def test_bench_nash_stdout_bytes_pinned(capsys, tmp_path, fig5_file):
     assert hashlib.sha256(out.encode()).hexdigest() == VALUES_FIG5_N6_SHA256
 
 
+def test_gamma_with_a_negative_first_weight(capsys, tmp_path):
+    # argparse reads "-1,1" alone as an option name; a separate gamma value
+    # must still parse, and print what the "=" form prints.
+    grid4 = tmp_path / "grid4.json"
+    grid4.write_text(serialize_arena(grid_arena(4)))
+    game = ("--arena", str(grid4), "--players", "2")
+    assert invoke_raw(capsys, "ne", "--gamma", "-1,1", *game)[:2] == (
+        0, NE_GAMMAM11_GRID4_N2
+    )
+    glued = invoke_raw(capsys, "spe", "--gamma=-1,1", *game)[:2]
+    assert glued[0] == 0 and glued[1].startswith('{"command": "spe"')
+    assert invoke_raw(capsys, "spe", *game, "--gamma", "-1,1")[:2] == glued
+
+
 # Stdout of the routing commands before best responses became A* searches
 # over per-call layer weights; the search must leave these bytes unchanged.
 # The long grid4 ``eval`` line is pinned by its SHA-256 digest.

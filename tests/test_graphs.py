@@ -1,11 +1,14 @@
 import heapq
+import itertools
 import json
 import random
+import sys
 
 import pytest
 
+import dyncong.graphs as graphs
 from dyncong.arena import Game
-from dyncong.dynamics import BlindProfile, play_profile
+from dyncong.dynamics import BlindProfile, blind_ne, is_blind_ne, play_profile
 from dyncong.graphs import (
     INF,
     SemanticsError,
@@ -16,12 +19,14 @@ from dyncong.graphs import (
     distributions,
     parikh,
     path_from_json,
+    reachable_graph,
     shortest_path,
     step,
     target_config,
 )
+from dyncong.spe import compute_lambda
 
-from corpus import corpus_games, random_arena
+from corpus import corpus_games, differential_games, grid_arena, random_arena
 
 
 def cfg(arena, *names):
@@ -166,6 +171,47 @@ def test_step_is_permutation_equivariant(corpus):
             assert pweights == tuple(weights[p] for p in perm)
             assert pnxt == tuple(nxt[p] for p in perm)
             config = nxt
+
+
+def test_joint_steps_match_the_validating_step():
+    # The corpus, the gap games, 30 random arenas and grid3 with two players:
+    # every reachable configuration's trusted joint steps are the validating
+    # step's, move vector by move vector in product order.
+    for game in differential_games():
+        arena = game.arena
+        for config in reachable_graph(game).configs:
+            expected = [
+                (nxt, weights)
+                for moves in itertools.product(
+                    *[[(s, succ) for succ, _ in arena.out[s]] for s in config]
+                )
+                for weights, nxt in [step(game, config, moves)]
+            ]
+            assert game.view.joint_steps(config) == expected, (arena, config)
+
+
+def test_each_game_builds_its_tables_once(monkeypatch):
+    # Every solver reads the game's one ``dist1`` instead of computing its
+    # own per best response or per label round.
+    calls = []
+    original = graphs.target_distances
+
+    def counting(arena):
+        calls.append(arena)
+        return original(arena)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dyncong") and (
+            getattr(module, "target_distances", None) is original
+        ):
+            monkeypatch.setattr(module, "target_distances", counting)
+    game = Game(grid_arena(6), 16)
+    profile, _ = blind_ne(game)
+    assert is_blind_ne(game, profile)
+    assert len(calls) == 1
+    calls.clear()
+    compute_lambda(Game(grid_arena(4), 2))
+    assert len(calls) == 1
 
 
 def test_step_weight_sum_matches_abstract_edge(corpus):

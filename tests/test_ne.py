@@ -11,7 +11,6 @@ from dyncong.graphs import (
     SemanticsError,
     cheapest_outcome,
     initial_config,
-    moves_for,
     path_from_configs,
     reachable_graph,
     step,
@@ -23,7 +22,7 @@ from dyncong.ne import (
     constrained_ne,
     gamma_min_ne,
 )
-from dyncong.oracle import brute_values
+from dyncong.oracle import _all_moves, brute_values
 from dyncong.socopt import social_optimum
 
 import ne_reference
@@ -367,7 +366,7 @@ def _plays_to_target(game, max_steps):
         if configs[-1] == goal:
             found.append(path_from_configs(game, configs))
         elif len(configs) <= max_steps:
-            for moves in moves_for(game.arena, configs[-1]):
+            for moves in _all_moves(game, configs[-1]):
                 walk(configs + [step(game, configs[-1], moves)[1]])
 
     walk([initial_config(game)])

@@ -1,3 +1,4 @@
+import ast
 import tokenize
 from pathlib import Path
 
@@ -25,3 +26,44 @@ def test_every_module_stays_below_the_compile_peak_cliff():
     assert modules
     for path in modules:
         assert _token_count(path) < TOKEN_LIMIT, path.name
+
+
+# The oracles are the references the solvers are checked against, so they
+# may use the game model and the blind-profile model, never a solver.
+SOLVER_MODULES = {"ne", "spe", "socopt"}
+BLIND_PROFILE_MODEL = {
+    "BlindProfile", "BlindStrategy", "StrategyError", "blind_strategy",
+    "play_profile", "profile_moves", "strategy_from_states",
+}
+
+
+def _package_imports(tree):
+    """``(module, name)`` for every import of a ``dyncong`` module, where
+    name is ``*`` when the module itself is imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("dyncong."):
+                    yield alias.name.removeprefix("dyncong."), "*"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "dyncong" and not module.startswith("dyncong."):
+                    continue
+                module = module.removeprefix("dyncong").lstrip(".")
+            for alias in node.names:
+                if module:
+                    yield module, alias.name
+                else:
+                    yield alias.name, "*"
+
+
+def test_oracles_import_no_solver():
+    path = Path(dyncong.__file__).parent / "oracle.py"
+    imports = list(_package_imports(ast.parse(path.read_text())))
+    assert ("graphs", "step") in imports
+    for module, name in imports:
+        top = module.split(".")[0]
+        assert top not in SOLVER_MODULES, (module, name)
+        if top == "dynamics":
+            assert name in BLIND_PROFILE_MODEL, (module, name)
