@@ -21,7 +21,6 @@ from .graphs import (
     dev_set,
     eval_path,
     parikh,
-    path_from_json,
     step,
 )
 from .ne import (
@@ -34,6 +33,7 @@ from .ne import (
     poa,
     pos,
 )
+from .outcome import path_from_json
 from .socopt import constrained_social_optimum, social_optimum
 from .spe import (
     LambdaResult,

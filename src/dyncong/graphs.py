@@ -132,7 +132,10 @@ def step(game: Game, config: Config, moves: MoveVector):
     nxt = []
     for player, edge in enumerate(moves):
         if edge not in arena.edges:
-            raise SemanticsError(f"no edge {edge} in the arena")
+            raise SemanticsError(
+                f"no edge {arena.states[edge[0]]} -> {arena.states[edge[1]]} "
+                "in the arena"
+            )
         if edge[0] != config[player]:
             raise SemanticsError(
                 f"player {player + 1} is at {arena.states[config[player]]} "
@@ -184,51 +187,6 @@ class OutcomePath:
         }
 
 
-_STEP_KEYS = {"moves", "weights", "config"}
-
-
-def move_from_json(arena: Arena, move) -> Edge:
-    if not isinstance(move, list) or len(move) != 2:
-        raise SemanticsError(f"a move needs exactly two endpoints, got {move!r}")
-    return arena.index(move[0]), arena.index(move[1])
-
-
-def path_from_json(game: Game, data) -> OutcomePath:
-    """Reads the ``{"steps": [...]}`` form of :meth:`OutcomePath.to_json`.
-
-    An empty ``steps`` list is the play that stays at the initial
-    configuration, which is how a game whose source is its target prints
-    its outcomes.  Raises :class:`SemanticsError` for a malformed file or
-    steps that do not chain; unknown state names raise :class:`ArenaError`.
-    """
-    if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
-        raise SemanticsError("outcome must be an object with a 'steps' list")
-    steps = data["steps"]
-    if not steps:
-        return OutcomePath(start=initial_config(game), steps=())
-    arena = game.arena
-    built = []
-    for entry in steps:
-        if not (
-            isinstance(entry, dict)
-            and set(entry) == _STEP_KEYS
-            and all(isinstance(entry[key], list) for key in _STEP_KEYS)
-        ):
-            raise SemanticsError(
-                "each outcome step must be an object whose 'moves', "
-                "'weights' and 'config' are lists"
-            )
-        moves = tuple(move_from_json(arena, m) for m in entry["moves"])
-        nxt = tuple(arena.index(s) for s in entry["config"])
-        if built and tuple(m[0] for m in moves) != built[-1][2]:
-            raise SemanticsError("steps do not chain")
-        if tuple(m[1] for m in moves) != nxt:
-            raise SemanticsError("step config does not match move heads")
-        built.append((moves, tuple(entry["weights"]), nxt))
-    start = tuple(m[0] for m in built[0][0])
-    return OutcomePath(start=start, steps=tuple(built))
-
-
 def replay(game: Game, start: Config, moves_list) -> OutcomePath:
     """Plays move vectors from ``start`` through :func:`step`; every
     outcome path is built or checked by this loop."""
@@ -239,28 +197,6 @@ def replay(game: Game, start: Config, moves_list) -> OutcomePath:
         weights, config = step(game, config, moves)
         steps.append((moves, weights, config))
     return OutcomePath(start=start, steps=tuple(steps))
-
-
-def path_from_configs(game: Game, configs: list[Config]) -> OutcomePath:
-    """Builds an outcome path through the given configurations, recomputing
-    move vectors and weights."""
-    return replay(game, configs[0], [
-        tuple(zip(cur, nxt)) for cur, nxt in zip(configs, configs[1:])
-    ])
-
-
-def check_outcome_shape(game: Game, path: OutcomePath) -> None:
-    """Raises :class:`SemanticsError` unless the path is a play from the
-    initial to the target configuration whose weights and configurations
-    match the recomputed joint steps."""
-    if path.start != initial_config(game):
-        raise SemanticsError("path must start at the initial configuration")
-    if path.configs()[-1] != target_config(game):
-        raise SemanticsError("path must end with every player at the target")
-    replayed = replay(game, path.start, [moves for moves, _, _ in path.steps])
-    for (_, weights, nxt), (_, recomputed, result) in zip(path.steps, replayed.steps):
-        if result != nxt or recomputed != tuple(weights):
-            raise SemanticsError("path weights or configurations are inconsistent")
 
 
 def eval_path(game: Game, moves_list) -> tuple[tuple, object, OutcomePath]:
@@ -406,15 +342,18 @@ def reachable_graph(game: Game) -> ReachableGraph:
 def shortest_path(start, nodes, edges, weight_of, targets):
     """Min-weight path in an explicit graph given as ``(u, payload, v)`` edges.
 
-    Nodes are numbered in the iteration order of ``nodes``; each keeps one
-    adjacency list, in edge order, of ``(weight, successor id, payload)``.
-    Payloads are hashable, and ``weight_of`` is called once per distinct
-    payload.  With nonnegative weights Dijkstra runs on heap keys
-    ``(distance, push counter)``.  ``weight_of(payload)`` may be negative,
-    in which case Bellman-Ford sweeps the nodes in that numbering for at
-    most ``|nodes| + 1`` rounds; in the graphs built here every cycle has
-    weight zero, so a last round that still improves raises.  Both set a
-    node's parent only on a strict improvement.
+    Nodes are numbered in the iteration order of ``nodes``, and the edges
+    are laid out as compressed rows: node u's edges, in edge order, fill the
+    slots ``first[u]`` to ``first[u + 1] - 1`` of three flat lists, the
+    successor ids, the weights and the payloads, placed by a stable
+    counting pass.  No tuple is built per edge.  Payloads are hashable, and
+    ``weight_of`` is called once per distinct payload.  With nonnegative
+    weights Dijkstra runs on heap keys ``(distance, push counter)``.
+    ``weight_of(payload)`` may be negative, in which case Bellman-Ford
+    sweeps the nodes in that numbering for at most ``|nodes| + 1`` rounds;
+    in the graphs built here every cycle has weight zero, so a last round
+    that still improves raises.  Both scan a node's edges in edge order and
+    set a node's parent ``(u, slot)`` only on a strict improvement.
 
     A Bellman-Ford sweep scans only the nodes whose distance fell since
     their last scan (Yen, 1970), in ascending id order: a node lowered
@@ -427,21 +366,33 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     improving sweeps are those of the full sweep.
 
     Returns ``(distance, [(u, payload, v), ...])`` to the cheapest target,
-    the first of ``targets`` on ties, or None when no target is reachable.
+    the first of ``targets`` on ties, or None when no target is reachable;
+    its nodes are the objects of ``nodes``.
     """
     order = list(nodes)
     index = {node: k for k, node in enumerate(order)}
-    adjacency: list[list] = [[] for _ in order]
+    first = [0] * (len(order) + 1)
+    for u, _, _ in edges:
+        first[index[u] + 1] += 1
+    for u in range(len(order)):
+        first[u + 1] += first[u]
+    fill = first[:-1]  # per node, its next free slot
+    heads = [0] * len(edges)
+    zs = heads[:]
+    payloads = heads[:]
     weights: dict = {}
     for u, payload, v in edges:
         z = weights.get(payload)
         if z is None:
             z = weights[payload] = weight_of(payload)
-        adjacency[index[u]].append((z, index[v], payload))
+        u = index[u]
+        slot = fill[u]
+        fill[u] = slot + 1
+        heads[slot], zs[slot], payloads[slot] = index[v], z, payload
     negative = min(weights.values(), default=0) < 0
     source = index[start]
     target_ids = [index[t] for t in targets]
-    del index, weights  # the search needs ids only; this lowers its memory peak
+    del index, weights, fill  # the search needs ids only; this lowers its memory peak
     dist = [INF] * len(order)
     parent: list = [None] * len(order)
     dist[source] = 0
@@ -452,11 +403,12 @@ def shortest_path(start, nodes, edges, weight_of, targets):
             d, _, u = heapq.heappop(heap)
             if dist[u] < d:
                 continue
-            for z, v, payload in adjacency[u]:
-                if d + z < dist[v]:
-                    dist[v] = d + z
-                    parent[v] = (u, payload)
-                    heapq.heappush(heap, (d + z, counter, v))
+            for slot in range(first[u], first[u + 1]):
+                v, dv = heads[slot], d + zs[slot]
+                if dv < dist[v]:
+                    dist[v] = dv
+                    parent[v] = (u, slot)
+                    heapq.heappush(heap, (dv, counter, v))
                     counter += 1
     else:
         queued = [False] * len(order)  # lowered since the node's last scan
@@ -470,10 +422,11 @@ def shortest_path(start, nodes, edges, weight_of, targets):
                 u = heapq.heappop(sweep)
                 queued[u] = False
                 du = dist[u]
-                for z, v, payload in adjacency[u]:
-                    if du + z < dist[v]:
-                        dist[v] = du + z
-                        parent[v] = (u, payload)
+                for slot in range(first[u], first[u + 1]):
+                    v, dv = heads[slot], du + zs[slot]
+                    if dv < dist[v]:
+                        dist[v] = dv
+                        parent[v] = (u, slot)
                         changed = True
                         if not queued[v]:
                             queued[v] = True
@@ -495,57 +448,8 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     path = []
     cur = best
     while cur != source:
-        prev, payload = parent[cur]
-        path.append((order[prev], payload, order[cur]))
+        prev, slot = parent[cur]
+        path.append((order[prev], payloads[slot], order[cur]))
         cur = prev
     path.reverse()
     return dist[best], path
-
-
-def cheapest_outcome(game: Game, start, nodes, edges, gamma, targets):
-    """Gamma-cheapest play from ``start`` to a target of an explicit graph.
-
-    Nodes are tuples whose first entry is a configuration; ``edges`` are
-    ``(u, weights, v)`` triples, each weighed by gamma dot weights (see
-    :func:`shortest_path`).  Returns ``(cost, witness)`` with the node chain
-    lifted to an :class:`OutcomePath`, or None when no target is reachable.
-    """
-    found = shortest_path(
-        start, nodes, edges,
-        lambda w: sum(g * x for g, x in zip(gamma, w)),
-        targets,
-    )
-    if found is None:
-        return None
-    cost, chain = found
-    configs = [start[0]] + [v[0] for _, _, v in chain]
-    return cost, path_from_configs(game, configs)
-
-
-def lift_abstract_path(game: Game, dists: list[dict]) -> OutcomePath:
-    """Realizes an abstract path as a concrete outcome.
-
-    ``dists`` holds one edge-count map per step.  Players standing on a state
-    are assigned to its out-edges in ascending player index and canonical
-    edge order; by symmetry every assignment has the same social cost.
-    """
-    arena = game.arena
-    config = initial_config(game)
-    moves_list = []
-    for dist in dists:
-        remaining = dict(dist)
-        moves = []
-        for state in config:
-            chosen = None
-            for succ, _ in arena.out[state]:
-                edge = (state, succ)
-                if remaining.get(edge, 0) > 0:
-                    chosen = edge
-                    remaining[edge] -= 1
-                    break
-            if chosen is None:
-                raise SemanticsError("abstract step does not cover a player")
-            moves.append(chosen)
-        moves_list.append(moves)
-        config = tuple(v for _, v in moves)
-    return replay(game, initial_config(game), moves_list)

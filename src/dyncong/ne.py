@@ -21,11 +21,13 @@ a nonnegative weight and the residual bound for a negative one
 (gamma >= 0) takes its witness from a bounded replay of the full-graph
 Dijkstra.  A witness for a negative weight (worst NE, mixed gamma) still
 comes from exploring the whole graph and running Bellman-Ford, whose
-tie-breaks only the whole graph fixes (see :func:`gamma_min_ne`); its sweeps
-scan only the nodes whose distance fell, which keeps every tie-break
-(:func:`graphs.shortest_path`).  Each deviation floor is computed once per
-deviation class of a configuration, and a node's successor bounds are
-worked out one player column at a time.  Every command builds the table
+tie-breaks only the whole graph fixes (see :func:`gamma_min_ne`).  That
+graph holds one object per node, which every edge into it shares
+(:func:`_explore_ne_graph`), and the search reads it as compressed rows;
+its sweeps scan only the nodes whose distance fell, which keeps every
+tie-break (:func:`graphs.shortest_path`).  Each deviation floor is computed
+once per deviation class of a configuration, and a node's successor bounds
+are worked out one player column at a time.  Every command builds the table
 once and runs one such search, PoA and PoS included
 (:func:`equilibrium_ratio`).
 """
@@ -45,15 +47,13 @@ from .graphs import (
     Config,
     OutcomePath,
     SemanticsError,
-    check_outcome_shape,
-    cheapest_outcome,
     compositions,
     dev_set,
     initial_config,
     node_budget,
-    path_from_configs,
     target_config,
 )
+from .outcome import check_outcome_shape, cheapest_outcome, path_from_configs
 from .socopt import social_optimum
 
 ValueState = tuple[int, tuple[int, ...]]  # (own state, coalition counts)
@@ -318,18 +318,25 @@ def _ne_successors(game: Game, values: ValueTable):
 def _explore_ne_graph(game: Game, values: ValueTable):
     """Forward reachable part of the bound-augmented configuration graph
     (:func:`_ne_successors`), as ``(start, nodes, edges)`` with edges
-    ``(node, weights, successor)`` in depth-first expansion order."""
+    ``(node, weights, successor)`` in depth-first expansion order.
+
+    Each edge holds the object ``nodes`` holds for each of its nodes,
+    found through a ``node -> node`` dict; the set gets the same inserts
+    in the same order, so its iteration order (the Bellman-Ford
+    numbering) is unchanged."""
     successors = _ne_successors(game, values)
     budget = node_budget()
     start = _start_node(game)
     nodes = {start}
+    canonical = {start: start}
     frontier = [start]
     edges = []
     while frontier:
         node = frontier.pop()
         for nxt, weights in successors(node):
-            edges.append((node, weights, nxt))
-            if nxt not in nodes:
+            known = canonical.setdefault(nxt, nxt)
+            edges.append((node, weights, known))
+            if known is nxt:  # first seen: successors() built a new object
                 nodes.add(nxt)
                 if len(nodes) > budget:
                     raise BudgetExceeded("equilibrium graph above node budget")

@@ -20,10 +20,10 @@ from .graphs import (
     dev_set,
     initial_config,
     node_budget,
-    path_from_configs,
     step,
     target_config,
 )
+from .outcome import path_from_configs
 
 
 def _all_moves(game: Game, config: Config):

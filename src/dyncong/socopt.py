@@ -55,12 +55,12 @@ from .graphs import (
     BudgetExceeded,
     OutcomePath,
     compositions,
-    lift_abstract_path,
     node_budget,
     parikh,
     initial_config,
     target_config,
 )
+from .outcome import lift_abstract_path
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,13 @@ from .graphs import (
     OutcomePath,
     ReachableGraph,
     SemanticsError,
-    check_outcome_shape,
-    cheapest_outcome,
     dev_set,
     initial_config,
     node_budget,
     reachable_graph,
     target_config,
 )
+from .outcome import check_outcome_shape, cheapest_outcome
 
 EdgeKey = tuple[Config, Config]
 LabelTable = dict[EdgeKey, tuple]  # per-edge tuple of per-player labels

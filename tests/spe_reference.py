@@ -21,7 +21,6 @@ from dyncong.graphs import (
     Config,
     ReachableGraph,
     SemanticsError,
-    cheapest_outcome,
     dev_set,
     initial_config,
     node_budget,
@@ -29,6 +28,7 @@ from dyncong.graphs import (
     target_config,
     target_distances,
 )
+from dyncong.outcome import cheapest_outcome
 from dyncong.spe import (
     EdgeKey,
     LabelTable,

@@ -28,7 +28,7 @@ from dyncong.dynamics import (
     potential,
     single_player_shortest,
 )
-from dyncong.graphs import path_from_configs, step, target_config, initial_config
+from dyncong.graphs import step, target_config, initial_config
 from dyncong.ne import check_ne_outcome, compute_values, constrained_ne, gamma_min_ne
 from dyncong.oracle import (
     _all_blind_paths,
@@ -39,6 +39,7 @@ from dyncong.oracle import (
     brute_values,
     gen_partition_arena,
 )
+from dyncong.outcome import path_from_configs
 from dyncong.socopt import constrained_social_optimum, social_optimum
 from dyncong.spe import check_spe_outcome, compute_lambda, gamma_min_spe, spe_exists
 

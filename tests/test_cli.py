@@ -575,6 +575,66 @@ def test_gamma_with_a_negative_first_weight(capsys, tmp_path):
     assert invoke_raw(capsys, "spe", *game, "--gamma", "-1,1")[:2] == glued
 
 
+
+def test_gamma_abbreviations_with_a_negative_first_weight(capsys, tmp_path):
+    # argparse accepts every prefix of --gamma from --g on, since no other
+    # option of ne or spe starts with --g; each must take a negative first
+    # weight as a separate value, as --gamma does.
+    grid4 = tmp_path / "grid4.json"
+    grid4.write_text(serialize_arena(grid_arena(4)))
+    game = ("--arena", str(grid4), "--players", "2")
+    positive = invoke_raw(capsys, "ne", "--gamma", "1,-1", *game)[:2]
+    assert positive == (0, NE_GAMMA1M1_GRID4_N2)
+    glued = invoke_raw(capsys, "spe", "--gamma=-1,1", *game)[:2]
+    for prefix in ("--g", "--ga", "--gam", "--gamm"):
+        assert invoke_raw(capsys, "ne", prefix, "1,-1", *game)[:2] == positive
+        assert invoke_raw(capsys, "ne", prefix, "-1,1", *game)[:2] == (
+            0, NE_GAMMAM11_GRID4_N2
+        ), prefix
+        assert invoke_raw(capsys, "spe", *game, prefix, "-1,1")[:2] == glued
+
+
+def test_missing_edge_is_named_by_state_names(capsys, tmp_path):
+    # Both players jump from the source straight to the target of grid4,
+    # an edge the arena lacks; the message names it as the file does.
+    grid4 = tmp_path / "grid4.json"
+    grid4.write_text(serialize_arena(grid_arena(4)))
+    outcome = tmp_path / "jump.json"
+    outcome.write_text(json.dumps({"steps": [{
+        "moves": [["r0c0", "r3c3"], ["r0c0", "r3c3"]],
+        "weights": [1, 1],
+        "config": ["r3c3", "r3c3"],
+    }]}))
+    for command in ("check-ne", "check-spe"):
+        code, out, err = invoke_raw(capsys, command, "--arena", str(grid4),
+                                    "--players", "2", "--outcome", str(outcome))
+        assert (code, out) == (2, "")
+        assert err == "dyncong: no edge r0c0 -> r3c3 in the arena\n", command
+
+
+# ``values --format pretty`` on fig5 with 3 players, 288 entries.
+VALUES_PRETTY_FIG5_N3_SHA256 = (
+    "a13470659eac3503f1939144d98645b2baea0e18c8a41c223875404b0466bc50"  # 31809 bytes
+)
+
+
+def test_values_print_in_chunks_byte_for_byte(capsys, fig5_file):
+    import hashlib
+
+    code, out, _ = invoke_raw(capsys, "--format", "pretty", "values",
+                              "--arena", fig5_file, "--players", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VALUES_PRETTY_FIG5_N3_SHA256
+    # Six players give 6,336 entries, so six chunk seams; the json bytes
+    # are pinned by VALUES_FIG5_N6_SHA256, and the pretty ones must be what
+    # one dump of the whole payload prints.
+    code, out, _ = invoke_raw(capsys, "--format", "pretty", "values",
+                              "--arena", fig5_file, "--players", "6")
+    payload = json.loads(out)
+    assert code == 0 and len(payload["values"]) > 5 * 1024
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 # Stdout of the routing commands before best responses became A* searches
 # over per-call layer weights; the search must leave these bytes unchanged.
 # The long grid4 ``eval`` line is pinned by its SHA-256 digest.

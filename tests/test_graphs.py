@@ -15,15 +15,14 @@ from dyncong.graphs import (
     dev_set,
     eval_path,
     initial_config,
-    lift_abstract_path,
     distributions,
     parikh,
-    path_from_json,
     reachable_graph,
     shortest_path,
     step,
     target_config,
 )
+from dyncong.outcome import lift_abstract_path, path_from_json
 from dyncong.spe import compute_lambda
 
 from corpus import corpus_games, differential_games, grid_arena, random_arena

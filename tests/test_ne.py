@@ -9,9 +9,7 @@ from dyncong.costfn import kappa
 from dyncong.dynamics import BlindProfile, blind_ne, play_profile
 from dyncong.graphs import (
     SemanticsError,
-    cheapest_outcome,
     initial_config,
-    path_from_configs,
     reachable_graph,
     step,
     target_config,
@@ -23,6 +21,7 @@ from dyncong.ne import (
     gamma_min_ne,
 )
 from dyncong.oracle import _all_moves, brute_values
+from dyncong.outcome import cheapest_outcome, path_from_configs
 from dyncong.socopt import social_optimum
 
 import ne_reference
@@ -30,6 +29,7 @@ from corpus import (
     corpus_games,
     differential_games,
     fig5_arena,
+    grid_arena,
     ne_gap_games,
     random_arena,
     trivial_arena,
@@ -309,6 +309,33 @@ def test_min_ne_search_matches_full_graph_search_for_every_sign():
             assert cost == expected, (k, gamma)
             assert check_ne_outcome(game, witness, values), (k, gamma)
             assert sum(g * witness.cost(i) for i, g in enumerate(gamma)) == cost, (k, gamma)
+
+
+
+def test_ne_graph_edges_hold_one_object_per_node():
+    # The successors function builds a new node per transition; the
+    # exploration stores the first copy of each in every edge, so the graph
+    # holds one object per node.  Its nodes, their set order and its edges
+    # stay those of an exploration that stores each node as built.
+    game = Game(grid_arena(4), 2)
+    values = compute_values(game)
+    start, nodes, edges = ne._explore_ne_graph(game, values)
+    assert len(edges) > 4 * len(nodes)
+    held = {id(u) for u, _, _ in edges} | {id(v) for _, _, v in edges}
+    assert len(held) <= len(nodes)
+    assert held <= {id(node) for node in nodes}
+    successors = ne._ne_successors(game, values)
+    plain_nodes, plain_edges, frontier = {start}, [], [start]
+    while frontier:
+        node = frontier.pop()
+        for nxt, weights in successors(node):
+            plain_edges.append((node, weights, nxt))
+            if nxt not in plain_nodes:
+                plain_nodes.add(nxt)
+                frontier.append(nxt)
+    assert list(nodes) == list(plain_nodes)
+    assert edges == plain_edges
+    assert len({id(v) for _, _, v in plain_edges}) > len(nodes)
 
 
 def _table_games():

@@ -73,7 +73,7 @@ def test_brute_ne_outcomes_fig1(fig1, fig1_g2, fig1_paths):
         (idx("tgt"), idx("v3")),
         (idx("tgt"), idx("tgt")),
     ]
-    from dyncong.graphs import path_from_configs
+    from dyncong.outcome import path_from_configs
 
     assert path_from_configs(fig1_g2, configs).key() in outcomes
     _, _, bad = play_profile(

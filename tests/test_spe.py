@@ -8,12 +8,12 @@ from dyncong.graphs import (
     NEG_INF,
     dev_set,
     initial_config,
-    path_from_configs,
     step,
     target_config,
 )
 from dyncong.ne import check_ne_outcome, compute_values, gamma_min_ne
 from dyncong.oracle import _all_moves
+from dyncong.outcome import path_from_configs
 from dyncong.spe import (
     CounterExploration,
     LambdaResult,
