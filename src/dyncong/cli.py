@@ -14,7 +14,7 @@ import re
 import sys
 import time
 
-from .arena import Arena, ArenaError, Game, parse_arena, serialize_arena
+from .arena import Arena, ArenaError, Game, parse_arena
 from .costfn import CostFunctionError
 from .dynamics import (
     BlindProfile,
@@ -190,29 +190,35 @@ def cmd_eval(args):
 
 def _emit_values(command: str, arena: Arena, values: dict, args) -> None:
     """Emits ``{"command": command, "values": [...]}``, entries in key
-    order, byte for byte as :func:`_emit` would, 1,024 entries per
-    ``json.dumps``: each chunk is dumped as the payload and cut out of it,
-    so the whole table is never one string.  The text around and between
-    entries comes from a dump with two placeholder entries."""
+    order, byte for byte as :func:`_emit` would, from text pieces: the text
+    around an entry's fields is cut out of one dump with two placeholder
+    entries, and each state, coalition and distinct value is dumped once
+    (a coalition re-indented to its depth).  Chunks of 1,024 entries are
+    written as they are joined, so the whole table is never one string."""
     indent = 2 if args.format == "pretty" else None
-    head, sep, tail = json.dumps(
-        {"command": command, "values": [None, None]}, indent=indent
+    entry = {"state": None, "coalition": None, "value": None}
+    head, to_coalition, to_value, sep, _, _, tail = json.dumps(
+        {"command": command, "values": [entry, entry]}, indent=indent
     ).split("null")
+    pad = "\n" + " " * 3 * (indent or 0)
+    states = [json.dumps(name) for name in arena.states]
+    coalitions, texts = {}, {}
     keys = sorted(values)
-    sys.stdout.write(head)
     for k in range(0, len(keys), 1024):
-        chunk = [
-            {
-                "state": arena.states[own],
-                "coalition": {arena.states[v]: c for v, c in enumerate(counts) if c},
-                "value": _jsonable(values[(own, counts)]),
-            }
-            for own, counts in keys[k:k + 1024]
-        ]
-        text = json.dumps({"command": command, "values": chunk}, indent=indent)
-        if k:
-            sys.stdout.write(sep)
-        sys.stdout.write(text[len(head):len(text) - len(tail)])
+        pieces = [head if k == 0 else sep]
+        for own, counts in keys[k:k + 1024]:
+            coalition = coalitions.get(counts)
+            if coalition is None:
+                coalition = coalitions[counts] = json.dumps(
+                    {arena.states[v]: c for v, c in enumerate(counts) if c},
+                    indent=indent).replace("\n", pad)
+            value = values[(own, counts)]
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = json.dumps(_jsonable(value))
+            pieces += (states[own], to_coalition, coalition, to_value, text, sep)
+        pieces[-1] = ""
+        sys.stdout.write("".join(pieces))
     sys.stdout.write(tail + "\n")
 
 
@@ -321,74 +327,11 @@ def cmd_ratio(args):
 
 def cmd_oracle(args):
     # Imported here, not at module level: only the oracle subcommands use
-    # it, and loading it for every command raised the peak resident memory
-    # of an `so` query on grid3 n=6 by about 0.09 MB (bench/child.py).
-    from .oracle import (
-        brute_best_response,
-        brute_ne_outcomes,
-        brute_social_optimum,
-        brute_values,
-        gen_partition_arena,
-    )
+    # it, and loading ``oracle`` for every command raised the peak resident
+    # memory of an `so` query on grid3 n=6 by about 0.09 MB (bench/child.py).
+    from .oracle_cli import cmd_oracle
 
-    if args.oracle_cmd == "gen-partition":
-        try:
-            family = [int(x) for x in args.family.split(",")]
-        except ValueError as exc:
-            raise InputError(
-                "--family wants comma-separated positive integers"
-            ) from exc
-        try:
-            game, big_m = gen_partition_arena(family)
-        except ValueError as exc:
-            raise InputError(f"--family: {exc}") from exc
-        payload = {
-            "command": "oracle gen-partition",
-            "players": game.n,
-            "threshold": big_m,
-            "arena": json.loads(serialize_arena(game.arena)),
-        }
-        _emit(payload, args)
-        return EXIT_OK
-    game = _load_game(args)
-    for name in ("max_steps", "max_len", "horizon"):
-        if getattr(args, name, 0) < 0:
-            raise InputError(f"--{name.replace('_', '-')} must be at least 0")
-    if args.oracle_cmd == "so":
-        try:
-            cost = brute_social_optimum(game, args.max_steps)
-        except ValueError as exc:
-            raise InputError(f"--max-steps: {exc}") from exc
-        _emit({"command": "oracle so", "cost": cost}, args)
-        return EXIT_OK
-    if args.oracle_cmd == "br":
-        if not 1 <= args.player <= game.n:
-            raise InputError(f"--player must be between 1 and {game.n}")
-        profile = _profile_from_json(game, _load_json(args.profile))
-        try:
-            cost = brute_best_response(
-                game, profile, args.player - 1, args.max_len
-            )
-        except ValueError as exc:
-            raise InputError(f"--max-len: {exc}") from exc
-        _emit({"command": "oracle br", "cost": cost}, args)
-        return EXIT_OK
-    if args.oracle_cmd == "values":
-        _emit_values("oracle values", game.arena,
-                     brute_values(game, args.horizon), args)
-        return EXIT_OK
-    if args.oracle_cmd == "ne-outcomes":
-        outcomes = brute_ne_outcomes(game, args.max_steps)
-        _emit(
-            {
-                "command": "oracle ne-outcomes",
-                "count": len(outcomes),
-                "outcomes": [p.to_json(game.arena) for p in outcomes],
-            },
-            args,
-        )
-        return EXIT_OK
-    raise InputError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+    return cmd_oracle(args)
 
 
 def _add_game_args(parser):

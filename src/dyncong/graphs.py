@@ -9,6 +9,7 @@ costs because all players are interchangeable.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -353,7 +354,9 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     sweeps the nodes in that numbering for at most ``|nodes| + 1`` rounds;
     in the graphs built here every cycle has weight zero, so a last round
     that still improves raises.  Both scan a node's edges in edge order and
-    set a node's parent ``(u, slot)`` only on a strict improvement.
+    set a node's parent, the slot of the edge into it, only on a strict
+    improvement; the edge's tail is the node whose run of slots holds it,
+    found by bisection on ``first``.
 
     A Bellman-Ford sweep scans only the nodes whose distance fell since
     their last scan (Yen, 1970), in ascending id order: a node lowered
@@ -394,7 +397,7 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     target_ids = [index[t] for t in targets]
     del index, weights, fill  # the search needs ids only; this lowers its memory peak
     dist = [INF] * len(order)
-    parent: list = [None] * len(order)
+    parent = [-1] * len(order)  # per node, the slot of its parent edge
     dist[source] = 0
     if not negative:
         heap = [(0, 0, source)]
@@ -407,7 +410,7 @@ def shortest_path(start, nodes, edges, weight_of, targets):
                 v, dv = heads[slot], d + zs[slot]
                 if dv < dist[v]:
                     dist[v] = dv
-                    parent[v] = (u, slot)
+                    parent[v] = slot
                     heapq.heappush(heap, (dv, counter, v))
                     counter += 1
     else:
@@ -426,7 +429,7 @@ def shortest_path(start, nodes, edges, weight_of, targets):
                     v, dv = heads[slot], du + zs[slot]
                     if dv < dist[v]:
                         dist[v] = dv
-                        parent[v] = (u, slot)
+                        parent[v] = slot
                         changed = True
                         if not queued[v]:
                             queued[v] = True
@@ -448,7 +451,8 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     path = []
     cur = best
     while cur != source:
-        prev, slot = parent[cur]
+        slot = parent[cur]
+        prev = bisect.bisect_right(first, slot) - 1
         path.append((order[prev], payloads[slot], order[cur]))
         cur = prev
     path.reverse()

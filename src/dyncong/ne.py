@@ -9,10 +9,12 @@ only depends on the player's own state and the multiset of coalition
 positions, so one value table serves every player.  :func:`compute_values`
 solves it by in-place sweeps over integer-indexed value states in order of
 hop distance to the target, reading each edge cost from the game's cost
-rows (``Game.view``); a sweep that changes nothing is the greatest fixpoint
-(see its docstring).  Optimal (best or worst) Nash equilibria come from a
-shortest-path search over the configuration graph augmented with per-player
-residual bounds that encode "no pending deviation is profitable".  Its
+rows (``Game.view``); a sweep that changes nothing is the greatest fixpoint,
+and on an arena where every edge off the target leads one hop closer the
+first sweep already is, so it stops there (see its docstring).  Optimal
+(best or worst) Nash equilibria come from a shortest-path search over the
+configuration graph augmented with per-player residual bounds that encode
+"no pending deviation is profitable".  Its
 successors are generated on demand from each configuration's joint steps,
 with no configuration graph built first.  The on-demand search is A* for every
 gamma, under a heuristic that charges the load-one distance to the target for
@@ -124,6 +126,16 @@ def compute_values(game: Game) -> ValueTable:
     greatest one, hence equal to it and to the Jacobi limit.  The sweep order
     and the order of each row's distributions affect only the speed.
 
+    When every edge off the target lowers ``hops`` (a hop-layered arena,
+    such as Figure 5), the first sweep is the fixpoint and no confirming
+    sweep runs (topological value iteration).  Every joint step from a
+    non-target own state moves the player one hop closer and no coalition
+    member farther (the target has only its loop), so it strictly lowers the
+    sweep key, or lands on a target-own state, fixed at 0.  By induction on
+    the key, every value a state reads is final when the sweep reaches it,
+    and a second sweep would change nothing.  Other arenas, wait loops or
+    not, iterate until a sweep changes nothing.
+
     The fixpoint must be finite (the player alone controls their position,
     so the target is never barred) and at most ``|V| * kappa``.
     """
@@ -168,6 +180,7 @@ def compute_values(game: Game) -> ValueTable:
         moves.append(row)
 
     hops = _hops_to_target(arena)
+    layered = all(hops[v] < hops[u] for u, v in arena.edges if u != tgt)
     count_hops = [sum(c * h for c, h in zip(counts, hops)) for counts in all_counts]
     order = sorted(
         (s for s in range(total) if s % num_states != tgt),
@@ -196,7 +209,7 @@ def compute_values(game: Game) -> ValueTable:
             if worst != values[s]:
                 values[s] = worst
                 changed = True
-        if not changed:
+        if layered or not changed:
             break
     else:
         raise AssertionError("value iteration missed its convergence cap")

@@ -204,6 +204,24 @@ def random_arena(rng: random.Random) -> Arena:
     )
 
 
+def layered_arena(rng: random.Random) -> Arena:
+    """Random arena whose every edge off the target leads one hop closer:
+    the source on top, then one to four layers of one to three states, each
+    state with edges into one to three states of the layer below, and the
+    target alone at the bottom."""
+    layers = [["tgt"]]
+    for depth in range(rng.randint(1, 4), 0, -1):
+        layers.insert(0, [f"l{depth}s{k}" for k in range(rng.randint(1, 3))])
+    layers.insert(0, ["src"])
+    edges = [
+        (frm, to, rng.choice(_COST_MAKERS)(rng))
+        for layer, below in zip(layers, layers[1:])
+        for frm in layer
+        for to in rng.sample(below, rng.randint(1, len(below)))
+    ]
+    return build_arena(sum(layers, []), edges, "src", "tgt")
+
+
 @functools.cache
 def ne_gap_games(seed: int, count: int) -> list[tuple[Game, object]]:
     """Seeded random two-player arenas whose NE social costs differ (best

@@ -635,6 +635,19 @@ def test_values_print_in_chunks_byte_for_byte(capsys, fig5_file):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
+def test_oracle_values_print_infinite_entries(capsys, fig1_file):
+    # A one-step horizon leaves "+inf" where the player cannot be sure to
+    # arrive in one step; in both formats the text-piece print must equal
+    # one dump of the payload.
+    for fmt, indent in (("json", None), ("pretty", 2)):
+        code, out, _ = invoke_raw(capsys, "--format", fmt, "oracle", "values",
+                                  "--arena", fig1_file, "--players", "2",
+                                  "--horizon", "1")
+        payload = json.loads(out)
+        assert code == 0 and "+inf" in [e["value"] for e in payload["values"]]
+        assert out == json.dumps(payload, indent=indent) + "\n", fmt
+
+
 # Stdout of the routing commands before best responses became A* searches
 # over per-call layer weights; the search must leave these bytes unchanged.
 # The long grid4 ``eval`` line is pinned by its SHA-256 digest.

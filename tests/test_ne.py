@@ -3,9 +3,9 @@ import random
 import pytest
 
 import dyncong.ne as ne
-from dyncong.arena import Game, serialize_arena
+from dyncong.arena import Game, build_arena, serialize_arena
 from dyncong.cli import run
-from dyncong.costfn import kappa
+from dyncong.costfn import constant, kappa
 from dyncong.dynamics import BlindProfile, blind_ne, play_profile
 from dyncong.graphs import (
     SemanticsError,
@@ -28,8 +28,10 @@ import ne_reference
 from corpus import (
     corpus_games,
     differential_games,
+    fig1_arena,
     fig5_arena,
     grid_arena,
+    layered_arena,
     ne_gap_games,
     random_arena,
     trivial_arena,
@@ -354,6 +356,33 @@ def test_compute_values_matches_reference_tables():
         want = ne_reference.compute_values(game)
         assert list(got.values.items()) == list(want.values.items()), k
         assert got.ceiling == want.ceiling, k
+
+
+def test_one_sweep_values_match_reference_tables():
+    # Where every edge off the target leads one hop closer, compute_values
+    # stops after its first sweep; fig1 (a DAG whose v1 -> v2 keeps its hop
+    # count) and the grids (wait loops) sweep until nothing changes.  Both
+    # must give the reference table, items in order.  In the DAG below, a
+    # is swept before b at the same key and first reads b's +inf, so a's
+    # first-sweep value 10 is not final (it is 1).
+    same_hop = build_arena(
+        ["src", "a", "b", "tgt"],
+        [("src", "a", constant(1)), ("a", "b", constant(0)),
+         ("a", "tgt", constant(10)), ("b", "tgt", constant(1))],
+        "src", "tgt",
+    )
+    rng = random.Random(18)
+    layered = [Game(layered_arena(rng), 1 + k % 4) for k in range(16)]
+    others = [Game(arena, n) for arena in (fig1_arena(), same_hop) for n in (1, 2, 3)]
+    others += [Game(grid_arena(k), 2) for k in (3, 4)]
+    for k, game in enumerate(layered + others):
+        hops = ne._hops_to_target(game.arena)
+        assert (k < len(layered)) == all(
+            hops[v] < hops[u] for u, v in game.arena.edges if u != game.arena.tgt
+        ), k
+        got = compute_values(game)
+        want = ne_reference.compute_values(game)
+        assert list(got.values.items()) == list(want.values.items()), k
 
 
 def test_ne_successors_match_reference():
