@@ -253,14 +253,6 @@ def cmd_ne(args):
     return _emit_optimum({"command": "ne"}, args, game, gamma, cost, witness)
 
 
-def cmd_check_ne(args):
-    game = _load_game(args)
-    path = path_from_json(game, _load_json(args.outcome))
-    accepted = check_ne_outcome(game, path)
-    _emit({"command": "check-ne", "accepted": accepted}, args)
-    return EXIT_OK if accepted else EXIT_NO
-
-
 def cmd_spe(args):
     game = _load_game(args)
     if args.exists:
@@ -302,11 +294,12 @@ def cmd_spe(args):
     return _emit_optimum(payload, args, game, gamma, cost, witness)
 
 
-def cmd_check_spe(args):
+def cmd_check(args):
     game = _load_game(args)
     path = path_from_json(game, _load_json(args.outcome))
-    accepted = check_spe_outcome(game, path)
-    _emit({"command": "check-spe", "accepted": accepted}, args)
+    check = check_ne_outcome if args.command == "check-ne" else check_spe_outcome
+    accepted = check(game, path)
+    _emit({"command": args.command, "accepted": accepted}, args)
     return EXIT_OK if accepted else EXIT_NO
 
 
@@ -391,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-ne", help="is the outcome a Nash equilibrium")
     _add_game_args(p)
     p.add_argument("--outcome", required=True)
-    p.set_defaults(func=cmd_check_ne)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("spe", help="subgame-perfect equilibria")
     _add_game_args(p)
@@ -403,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-spe", help="is the outcome subgame-perfect")
     _add_game_args(p)
     p.add_argument("--outcome", required=True)
-    p.set_defaults(func=cmd_check_spe)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("poa", help="price of anarchy")
     _add_game_args(p)

@@ -190,6 +190,18 @@ def single_player_shortest(arena: Arena) -> BlindStrategy:
     return _layered_search(Game(arena, 1), [])[0]
 
 
+def _first_improvement(game: Game, profile: BlindProfile):
+    """``(player, strategy)`` for the first player, in index order, whose
+    best response is strictly cheaper than their cost under ``profile``, or
+    None when no player can improve."""
+    costs, _, _ = play_profile(game, profile)
+    for player in range(game.n):
+        strategy, cost = best_response(game, profile, player)
+        if cost < costs[player]:
+            return player, strategy
+    return None
+
+
 def blind_ne(game: Game):
     """Computes a blind Nash equilibrium by best-response iteration.
 
@@ -202,27 +214,16 @@ def blind_ne(game: Game):
     profile = BlindProfile((_layered_search(game, [])[0],) * game.n)
     swaps = 0
     cap = potential(game, profile)
-    while True:
-        costs, _, _ = play_profile(game, profile)
-        for player in range(game.n):
-            strategy, cost = best_response(game, profile, player)
-            if cost < costs[player]:
-                previous = potential(game, profile)
-                profile = profile.replace(player, strategy)
-                assert potential(game, profile) < previous
-                swaps += 1
-                break
-        else:
-            assert swaps <= cap
-            return profile, swaps
+    while (found := _first_improvement(game, profile)) is not None:
+        previous = potential(game, profile)
+        profile = profile.replace(*found)
+        assert potential(game, profile) < previous
+        swaps += 1
+    assert swaps <= cap
+    return profile, swaps
 
 
 def is_blind_ne(game: Game, profile: BlindProfile) -> bool:
     """No player can strictly improve with any blind response; by the
     blind-deviation reduction this certifies a full Nash equilibrium."""
-    costs, _, _ = play_profile(game, profile)
-    for player in range(game.n):
-        _, cost = best_response(game, profile, player)
-        if cost < costs[player]:
-            return False
-    return True
+    return _first_improvement(game, profile) is None

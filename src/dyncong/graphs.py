@@ -172,9 +172,6 @@ class OutcomePath:
         suffixes.reverse()
         return suffixes
 
-    def key(self):
-        return (self.start, self.steps)
-
     def to_json(self, arena: Arena) -> dict:
         return {
             "steps": [
@@ -321,9 +318,8 @@ def reachable_graph(game: Game) -> ReachableGraph:
     budget = node_budget()
     view = game.view
     start = initial_config(game)
-    seen = {start}
-    order = [start]
-    transitions: dict[Config, list[tuple[Config, tuple[int, ...]]]] = {}
+    # Keys in discovery order; a value stays None until its key is expanded.
+    transitions: dict[Config, list[tuple[Config, tuple[int, ...]]]] = {start: None}
     frontier = [start]
     work = 0
     while frontier:
@@ -333,11 +329,10 @@ def reachable_graph(game: Game) -> ReachableGraph:
             raise BudgetExceeded("configuration graph above node budget")
         succs = transitions[config] = view.joint_steps(config)
         for nxt, _ in succs:
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
+            if nxt not in transitions:
+                transitions[nxt] = None
                 frontier.append(nxt)
-    return ReachableGraph(configs=order, transitions=transitions)
+    return ReachableGraph(configs=list(transitions), transitions=transitions)
 
 
 def shortest_path(start, nodes, edges, weight_of, targets):
@@ -359,14 +354,15 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     found by bisection on ``first``.
 
     A Bellman-Ford sweep scans only the nodes whose distance fell since
-    their last scan (Yen, 1970), in ascending id order: a node lowered
-    ahead of the sweep position joins the current sweep, one lowered at or
-    behind it waits for the next.  This is the full sweep minus scans that
-    cannot improve anything: a scan of u leaves ``dist[v] <= dist[u] + z``
-    on each of its edges, and distances only fall, so until ``dist[u]``
-    falls again no edge of u can improve.  The strict improvements happen
-    in the same order, so every distance, every parent and the number of
-    improving sweeps are those of the full sweep.
+    their last scan (Yen, 1970): it walks the ids in ascending order and
+    reads each node's ``lowered`` flag when it reaches it, so a node
+    lowered ahead of the sweep position is scanned in this sweep and one
+    lowered at or behind it in the next.  This is the full sweep minus
+    scans that cannot improve anything: a scan of u leaves ``dist[v] <=
+    dist[u] + z`` on each of its edges, and distances only fall, so until
+    ``dist[u]`` falls again no edge of u can improve.  The strict
+    improvements happen in the same order, so every distance, every parent
+    and the number of improving sweeps are those of the full sweep.
 
     Returns ``(distance, [(u, payload, v), ...])`` to the cheapest target,
     the first of ``targets`` on ties, or None when no target is reachable;
@@ -414,29 +410,19 @@ def shortest_path(start, nodes, edges, weight_of, targets):
                     heapq.heappush(heap, (dv, counter, v))
                     counter += 1
     else:
-        queued = [False] * len(order)  # lowered since the node's last scan
-        queued[source] = True
-        later = [source]
+        lowered = [False] * len(order)  # distance fell since the last scan
+        lowered[source] = True
         for _ in range(len(order) + 1):
             changed = False
-            sweep, later = later, []
-            heapq.heapify(sweep)
-            while sweep:
-                u = heapq.heappop(sweep)
-                queued[u] = False
+            for u in itertools.compress(range(len(order)), lowered):
+                lowered[u] = False
                 du = dist[u]
                 for slot in range(first[u], first[u + 1]):
                     v, dv = heads[slot], du + zs[slot]
                     if dv < dist[v]:
                         dist[v] = dv
                         parent[v] = slot
-                        changed = True
-                        if not queued[v]:
-                            queued[v] = True
-                            if v > u:
-                                heapq.heappush(sweep, v)
-                            else:
-                                later.append(v)
+                        lowered[v] = changed = True
             if not changed:
                 break
         else:

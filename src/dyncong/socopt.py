@@ -66,7 +66,6 @@ from .outcome import lift_abstract_path
 @dataclass(frozen=True)
 class SocialOptimum:
     cost: int
-    abstract_path: tuple[tuple[int, ...], ...]
     witness: OutcomePath
 
 
@@ -231,11 +230,11 @@ def _optimum(game, fold, start, goal, cost, parents) -> SocialOptimum:
     )
     lifted = sum(sum(w) for _, w, _ in witness.steps)
     assert lifted == cost, "lifted witness does not reproduce the abstract cost"
-    return SocialOptimum(cost, abstract, witness)
+    return SocialOptimum(cost, witness)
 
 
 def social_optimum(game: Game) -> SocialOptimum:
-    """Exact social optimum with an abstract path and a concrete witness.
+    """Exact social optimum: its cost and a concrete witness.
 
     The witness is the outcome of the blind profile where every player
     follows their lifted path; feeding its move vectors to ``eval_path``

@@ -1,8 +1,14 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+# No bytecode caches from a test run, in this process or its children: a
+# cached src/dyncong/__pycache__ would let later benchmark runs in the same
+# checkout skip module compiles and read lower setup times and memory.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 sys.path.insert(0, str(Path(__file__).parent))
 
 from corpus import corpus_games, fig1_arena, fig5_arena, trivial_arena

@@ -271,14 +271,12 @@ def test_criterion_07_oracle_equivalence(corpus):
                 if got != want:
                     failures.append(f"{name}: best response differs for {player}")
 
-        accepted = {
-            path.key() for path in brute_ne_outcomes(game, 6)
-        }
+        accepted = set(brute_ne_outcomes(game, 6))
         direct = set()
         for configs in _bounded_target_paths(game, 6):
             path = path_from_configs(game, list(configs))
             if check_ne_outcome(game, path, values):
-                direct.add(path.key())
+                direct.add(path)
         if accepted != direct:
             failures.append(f"{name}: equilibrium outcome sets differ")
     elapsed = time.perf_counter() - t0

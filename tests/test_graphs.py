@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -187,6 +188,41 @@ def test_joint_steps_match_the_validating_step():
                 for weights, nxt in [step(game, config, moves)]
             ]
             assert game.view.joint_steps(config) == expected, (arena, config)
+
+
+def _reference_reachable_graph(game):
+    # The loop that reachable_graph replaced, kept verbatim: a seen set and a
+    # discovery-order list beside the transitions dict.
+    budget = graphs.node_budget()
+    view = game.view
+    start = initial_config(game)
+    seen = {start}
+    order = [start]
+    transitions = {}
+    frontier = [start]
+    work = 0
+    while frontier:
+        config = frontier.pop()
+        work += math.prod(len(view.out[s]) for s in config)
+        if work > budget:
+            raise graphs.BudgetExceeded("configuration graph above node budget")
+        succs = transitions[config] = view.joint_steps(config)
+        for nxt, _ in succs:
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                frontier.append(nxt)
+    return order, transitions
+
+
+def test_reachable_graph_keeps_discovery_order():
+    # ``configs`` is in discovery order, not expansion order: it sets the
+    # order of the SPE regions' configurations and so of the SPE labels.
+    for game in differential_games() + [Game(grid_arena(3), 3)]:
+        order, transitions = _reference_reachable_graph(game)
+        graph = reachable_graph(game)
+        assert graph.configs == order, game.arena
+        assert graph.transitions == transitions, game.arena
 
 
 def test_each_game_builds_its_tables_once(monkeypatch):

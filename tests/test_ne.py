@@ -436,9 +436,9 @@ def test_check_ne_outcome_matches_brute_force_on_ne_gap_games():
     from dyncong.oracle import brute_ne_outcomes
 
     for k, (game, values) in enumerate(ne_gap_games(41, 8)):
-        accepted = {path.key() for path in brute_ne_outcomes(game, 5)}
+        accepted = set(brute_ne_outcomes(game, 5))
         checked = {
-            path.key() for path in _plays_to_target(game, 5)
+            path for path in _plays_to_target(game, 5)
             if check_ne_outcome(game, path, values)
         }
         assert accepted and checked == accepted, k

@@ -54,16 +54,12 @@ def test_brute_values_edges(fig1, fig1_g2):
         assert deep[state] == value
 
 
-def _outcome_keys(paths):
-    return {p.key() for p in paths}
-
-
 def test_brute_ne_outcomes_fig1(fig1, fig1_g2, fig1_paths):
-    outcomes = _outcome_keys(brute_ne_outcomes(fig1_g2, 6))
+    outcomes = set(brute_ne_outcomes(fig1_g2, 6))
     _, _, good = play_profile(
         fig1_g2, BlindProfile((fig1_paths["pi1"], fig1_paths["pi2"]))
     )
-    assert good.key() in outcomes
+    assert good in outcomes
     # the adaptive outcome of Example 4 (costs 10 and 12)
     idx = fig1.index
     configs = [
@@ -75,11 +71,11 @@ def test_brute_ne_outcomes_fig1(fig1, fig1_g2, fig1_paths):
     ]
     from dyncong.outcome import path_from_configs
 
-    assert path_from_configs(fig1_g2, configs).key() in outcomes
+    assert path_from_configs(fig1_g2, configs) in outcomes
     _, _, bad = play_profile(
         fig1_g2, BlindProfile((fig1_paths["pi1"], fig1_paths["pi1"]))
     )
-    assert bad.key() not in outcomes
+    assert bad not in outcomes
 
 
 def test_brute_ne_outcomes_trivial():
