@@ -44,6 +44,23 @@ class Arena:
         except ValueError:
             raise ArenaError(f"unknown state {name!r}") from None
 
+    @functools.cached_property
+    def hops(self) -> list[int]:
+        """Fewest edges from each state to the target, -1 where there is no
+        route (BFS on reversed edges), built on first use."""
+        preds: list[list[int]] = [[] for _ in self.states]
+        for u, v in self.edges:
+            preds[v].append(u)
+        hops = [-1] * len(self.states)
+        hops[self.tgt] = 0
+        queue = [self.tgt]
+        for v in queue:
+            for u in preds[v]:
+                if hops[u] < 0:
+                    hops[u] = hops[v] + 1
+                    queue.append(u)
+        return hops
+
 
 @dataclass(frozen=True)
 class Game:
@@ -112,7 +129,9 @@ def build_arena(states, edges, src, tgt) -> Arena:
 
 
 def validate_arena(arena: Arena) -> list[str]:
-    """Returns the list of invariant violations (empty means valid)."""
+    """Returns the list of invariant violations (empty means valid); the
+    states that cannot reach the target come last, in state order, read
+    from ``Arena.hops``."""
     violations = []
     loop = (arena.tgt, arena.tgt)
     if loop not in arena.edges:
@@ -125,17 +144,8 @@ def validate_arena(arena: Arena) -> list[str]:
                 f"target has an outgoing edge to {arena.states[v]!r}; "
                 "only the self-loop is allowed"
             )
-    # Backward reachability to tgt over the edge relation.
-    can_reach = {arena.tgt}
-    changed = True
-    while changed:
-        changed = False
-        for (u, v) in arena.edges:
-            if v in can_reach and u not in can_reach:
-                can_reach.add(u)
-                changed = True
-    for i, name in enumerate(arena.states):
-        if i not in can_reach:
+    for name, hops in zip(arena.states, arena.hops):
+        if hops < 0:
             violations.append(f"target unreachable from {name!r}")
     return violations
 

@@ -261,8 +261,10 @@ def cmd_spe(args):
             raise InputError(
                 f"{' and '.join(['--exists', *chosen])} are mutually exclusive"
             )
+    else:
+        gamma = _parse_gamma(args, game.n)
     lam = compute_lambda(game)
-    if args.dump_lambda:
+    if args.dump_lambda is not None:
         entries = []
         for (frm, to), labels in sorted(lam.labels.items()):
             entries.append(
@@ -284,7 +286,6 @@ def cmd_spe(args):
             payload["witness"] = witness.to_json(game.arena)
         _emit(payload, args)
         return EXIT_OK if ok else EXIT_NO
-    gamma = _parse_gamma(args, game.n)
     found = gamma_min_spe(game, gamma, lam)
     if found is None:
         _emit({"command": "spe", "exists": False}, args)

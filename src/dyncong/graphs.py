@@ -9,7 +9,6 @@ costs because all players are interchangeable.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -340,18 +339,17 @@ def shortest_path(start, nodes, edges, weight_of, targets):
 
     Nodes are numbered in the iteration order of ``nodes``, and the edges
     are laid out as compressed rows: node u's edges, in edge order, fill the
-    slots ``first[u]`` to ``first[u + 1] - 1`` of three flat lists, the
-    successor ids, the weights and the payloads, placed by a stable
-    counting pass.  No tuple is built per edge.  Payloads are hashable, and
-    ``weight_of`` is called once per distinct payload.  With nonnegative
-    weights Dijkstra runs on heap keys ``(distance, push counter)``.
-    ``weight_of(payload)`` may be negative, in which case Bellman-Ford
-    sweeps the nodes in that numbering for at most ``|nodes| + 1`` rounds;
-    in the graphs built here every cycle has weight zero, so a last round
-    that still improves raises.  Both scan a node's edges in edge order and
-    set a node's parent, the slot of the edge into it, only on a strict
-    improvement; the edge's tail is the node whose run of slots holds it,
-    found by bisection on ``first``.
+    slots ``first[u]`` to ``first[u + 1] - 1`` of two flat lists, the
+    successor ids and the weights, placed by a stable counting pass.  No
+    tuple is built per edge.  Payloads are hashable, and ``weight_of`` is
+    called once per distinct payload; nothing else of a payload is kept.
+    With nonnegative weights Dijkstra runs on heap keys ``(distance, push
+    counter)``.  ``weight_of(payload)`` may be negative, in which case
+    Bellman-Ford sweeps the nodes in that numbering for at most ``|nodes| +
+    1`` rounds; in the graphs built here every cycle has weight zero, so a
+    last round that still improves raises.  Both scan a node's edges in edge
+    order and set a node's parent, the id of the tail of the edge into it,
+    only on a strict improvement.
 
     A Bellman-Ford sweep scans only the nodes whose distance fell since
     their last scan (Yen, 1970): it walks the ids in ascending order and
@@ -364,9 +362,9 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     improvements happen in the same order, so every distance, every parent
     and the number of improving sweeps are those of the full sweep.
 
-    Returns ``(distance, [(u, payload, v), ...])`` to the cheapest target,
+    Returns ``(distance, [start, ..., target])`` for the cheapest target,
     the first of ``targets`` on ties, or None when no target is reachable;
-    its nodes are the objects of ``nodes``.
+    the chain holds the objects of ``nodes``.
     """
     order = list(nodes)
     index = {node: k for k, node in enumerate(order)}
@@ -378,7 +376,6 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     fill = first[:-1]  # per node, its next free slot
     heads = [0] * len(edges)
     zs = heads[:]
-    payloads = heads[:]
     weights: dict = {}
     for u, payload, v in edges:
         z = weights.get(payload)
@@ -387,13 +384,13 @@ def shortest_path(start, nodes, edges, weight_of, targets):
         u = index[u]
         slot = fill[u]
         fill[u] = slot + 1
-        heads[slot], zs[slot], payloads[slot] = index[v], z, payload
+        heads[slot], zs[slot] = index[v], z
     negative = min(weights.values(), default=0) < 0
     source = index[start]
     target_ids = [index[t] for t in targets]
     del index, weights, fill  # the search needs ids only; this lowers its memory peak
     dist = [INF] * len(order)
-    parent = [-1] * len(order)  # per node, the slot of its parent edge
+    parent = [-1] * len(order)  # per node, the tail of its parent edge
     dist[source] = 0
     if not negative:
         heap = [(0, 0, source)]
@@ -406,7 +403,7 @@ def shortest_path(start, nodes, edges, weight_of, targets):
                 v, dv = heads[slot], d + zs[slot]
                 if dv < dist[v]:
                     dist[v] = dv
-                    parent[v] = slot
+                    parent[v] = u
                     heapq.heappush(heap, (dv, counter, v))
                     counter += 1
     else:
@@ -421,7 +418,7 @@ def shortest_path(start, nodes, edges, weight_of, targets):
                     v, dv = heads[slot], du + zs[slot]
                     if dv < dist[v]:
                         dist[v] = dv
-                        parent[v] = slot
+                        parent[v] = u
                         lowered[v] = changed = True
             if not changed:
                 break
@@ -434,12 +431,7 @@ def shortest_path(start, nodes, edges, weight_of, targets):
     if not reached:
         return None
     best = min(reached, key=lambda t: dist[t])
-    path = []
-    cur = best
-    while cur != source:
-        slot = parent[cur]
-        prev = bisect.bisect_right(first, slot) - 1
-        path.append((order[prev], payloads[slot], order[cur]))
-        cur = prev
-    path.reverse()
-    return dist[best], path
+    chain = [best]
+    while chain[-1] != source:
+        chain.append(parent[chain[-1]])
+    return dist[best], [order[k] for k in reversed(chain)]

@@ -8,10 +8,11 @@ punishing strategy profile built.  Since the game is symmetric, that value
 only depends on the player's own state and the multiset of coalition
 positions, so one value table serves every player.  :func:`compute_values`
 solves it by in-place sweeps over integer-indexed value states in order of
-hop distance to the target, reading each edge cost from the game's cost
-rows (``Game.view``); a sweep that changes nothing is the greatest fixpoint,
-and on an arena where every edge off the target leads one hop closer the
-first sweep already is, so it stops there (see its docstring).  Optimal
+hop distance to the target (``Arena.hops``), reading each edge cost from
+the game's cost rows (``Game.view``); a sweep that changes nothing is the
+greatest fixpoint, and on an arena where every edge off the target leads
+one hop closer the first sweep already is, so it stops there (see its
+docstring).  Optimal
 (best or worst) Nash equilibria come from a shortest-path search over the
 configuration graph augmented with per-player residual bounds that encode
 "no pending deviation is profitable".  Its
@@ -25,8 +26,9 @@ Dijkstra.  A witness for a negative weight (worst NE, mixed gamma) still
 comes from exploring the whole graph and running Bellman-Ford, whose
 tie-breaks only the whole graph fixes (see :func:`gamma_min_ne`).  That
 graph holds one object per node, which every edge into it shares
-(:func:`_explore_ne_graph`), and the search reads it as compressed rows;
-its sweeps scan only the nodes whose distance fell, which keeps every
+(:func:`_explore_ne_graph`), and the search reads it as compressed rows
+and returns a chain of nodes, whose configurations make the witness; its
+sweeps scan only the nodes whose distance fell, which keeps every
 tie-break (:func:`graphs.shortest_path`).  Each deviation floor is computed
 once per deviation class of a configuration, and a node's successor bounds
 are worked out one player column at a time.  Every command builds the table
@@ -85,22 +87,6 @@ def _coalition_states(game: Game):
         yield tuple(counts)
 
 
-def _hops_to_target(arena) -> list[int]:
-    """Fewest edges from each state to the target (BFS on reversed edges)."""
-    preds: list[list[int]] = [[] for _ in arena.states]
-    for u, v in arena.edges:
-        preds[v].append(u)
-    hops = [-1] * len(arena.states)
-    hops[arena.tgt] = 0
-    queue = [arena.tgt]
-    for v in queue:
-        for u in preds[v]:
-            if hops[u] < 0:
-                hops[u] = hops[v] + 1
-                queue.append(u)
-    return hops
-
-
 def compute_values(game: Game) -> ValueTable:
     """Ordered in-place value iteration for the sup-inf deviation values.
 
@@ -115,16 +101,17 @@ def compute_values(game: Game) -> ValueTable:
     Values start at +inf off the target (0 on it) and are updated in place
     (Gauss-Seidel), each sweep visiting the non-target states in ascending
     order of ``hops(own) + sum(counts[v] * hops(v))``, the hop distances to
-    the target, so that one sweep carries values back along short routes.
-    The iteration stops after the first sweep that changes nothing.  This is
-    the same fixpoint the Jacobi iteration reaches: the one-step operator F
-    is monotone and every iterate starts at +inf, so each in-place value
-    stays at or above F's greatest fixpoint (induction: x >= nu implies
-    F(x) >= F(nu) = nu) and at or below the Jacobi iterate of the same sweep
-    (values only decrease, so an in-place update reads values no larger than
-    Jacobi's).  A sweep that changes nothing is a fixpoint at or above the
-    greatest one, hence equal to it and to the Jacobi limit.  The sweep order
-    and the order of each row's distributions affect only the speed.
+    the target (``Arena.hops``), so that one sweep carries values back along
+    short routes.  The iteration stops after the first sweep that changes
+    nothing.  This is the same fixpoint the Jacobi iteration reaches: the
+    one-step operator F is monotone and every iterate starts at +inf, so
+    each in-place value stays at or above F's greatest fixpoint (induction:
+    x >= nu implies F(x) >= F(nu) = nu) and at or below the Jacobi iterate
+    of the same sweep (values only decrease, so an in-place update reads
+    values no larger than Jacobi's).  A sweep that changes nothing is a
+    fixpoint at or above the greatest one, hence equal to it and to the
+    Jacobi limit.  The sweep order and the order of each row's distributions
+    affect only the speed.
 
     When every edge off the target lowers ``hops`` (a hop-layered arena,
     such as Figure 5), the first sweep is the fixpoint and no confirming
@@ -179,7 +166,7 @@ def compute_values(game: Game) -> ValueTable:
             row.append((tuple(loads), count_index[tuple(nxt)] * num_states))
         moves.append(row)
 
-    hops = _hops_to_target(arena)
+    hops = arena.hops
     layered = all(hops[v] < hops[u] for u, v in arena.edges if u != tgt)
     count_hops = [sum(c * h for c, h in zip(counts, hops)) for counts in all_counts]
     order = sorted(

@@ -96,7 +96,9 @@ def cheapest_outcome(game: Game, start, nodes, edges, gamma, targets):
     Nodes are tuples whose first entry is a configuration; ``edges`` are
     ``(u, weights, v)`` triples, each weighed by gamma dot weights (see
     :func:`shortest_path`).  Returns ``(cost, witness)`` with the node chain
-    lifted to an :class:`OutcomePath`, or None when no target is reachable.
+    lifted to an :class:`OutcomePath` through its configurations, whose
+    weights :func:`graphs.replay` recomputes, or None when no target is
+    reachable.
     """
     found = shortest_path(
         start, nodes, edges,
@@ -106,8 +108,7 @@ def cheapest_outcome(game: Game, start, nodes, edges, gamma, targets):
     if found is None:
         return None
     cost, chain = found
-    configs = [start[0]] + [v[0] for _, _, v in chain]
-    return cost, path_from_configs(game, configs)
+    return cost, path_from_configs(game, [node[0] for node in chain])
 
 
 def lift_abstract_path(game: Game, dists: list[dict]) -> OutcomePath:

@@ -19,7 +19,7 @@ from dyncong.graphs import (
     node_budget,
     reachable_graph,
 )
-from dyncong.ne import ValueTable, _coalition_states, _hops_to_target
+from dyncong.ne import ValueTable, _coalition_states
 
 
 def compute_values(game):
@@ -57,7 +57,7 @@ def compute_values(game):
             row.append((tuple(loads), count_index[nxt] * num_states))
         moves.append(row)
 
-    hops = _hops_to_target(arena)
+    hops = arena.hops
     count_hops = [sum(c * h for c, h in zip(counts, hops)) for counts in all_counts]
     order = sorted(
         (s for s in range(total) if s % num_states != tgt),

@@ -1,8 +1,11 @@
 import json
+import random
+import time
 
 import pytest
 
 from dyncong.arena import (
+    Arena,
     ArenaError,
     build_arena,
     parse_arena,
@@ -11,7 +14,7 @@ from dyncong.arena import (
 )
 from dyncong.costfn import constant, linear
 
-from corpus import fig1_arena, fig5_arena
+from corpus import corpus_games, fig1_arena, fig5_arena, grid_arena, random_arena
 
 
 def _fig1_json():
@@ -143,6 +146,95 @@ def test_validate_names_unreachable_state():
             "src",
             "tgt",
         )
+
+
+def _fixpoint_validate_arena(arena: Arena) -> list[str]:
+    """Reference: :func:`validate_arena` before it read ``Arena.hops``,
+    with its edge-rescanning reachability fixpoint, kept verbatim."""
+    violations = []
+    loop = (arena.tgt, arena.tgt)
+    if loop not in arena.edges:
+        violations.append(f"target {arena.states[arena.tgt]!r} misses its self-loop")
+    elif not arena.edges[loop].is_zero:
+        violations.append("target self-loop must have the constant-zero cost")
+    for (u, v) in arena.edges:
+        if u == arena.tgt and v != arena.tgt:
+            violations.append(
+                f"target has an outgoing edge to {arena.states[v]!r}; "
+                "only the self-loop is allowed"
+            )
+    # Backward reachability to tgt over the edge relation.
+    can_reach = {arena.tgt}
+    changed = True
+    while changed:
+        changed = False
+        for (u, v) in arena.edges:
+            if v in can_reach and u not in can_reach:
+                can_reach.add(u)
+                changed = True
+    for i, name in enumerate(arena.states):
+        if i not in can_reach:
+            violations.append(f"target unreachable from {name!r}")
+    return violations
+
+
+def _with_dead_states(arena: Arena, rng: random.Random) -> Arena:
+    """A copy of ``arena`` with one to four added states that cannot reach
+    the target.  Existing states, the target among them, may lead into
+    them; they lead only among themselves, in a ring (every one on a cycle)
+    or a chain that ends in a state with no out-edge.  ``build_arena`` would
+    reject the copy, so it is assembled directly."""
+    base, k = len(arena.states), rng.randint(1, 4)
+    dead = range(base, base + k)
+    added = [(rng.randrange(base), d) for d in dead if rng.random() < 0.7]
+    ring = rng.random() < 0.5
+    added += [(d, base + (d - base + 1) % k) for d in dead
+              if ring or d < base + k - 1]
+    edges = dict(arena.edges)
+    for edge in added:
+        edges.setdefault(edge, constant(1))
+    edge_list = tuple(dict.fromkeys(arena.edge_list + tuple(added)))
+    out = [[] for _ in range(base + k)]
+    for u, v in edge_list:
+        out[u].append((v, edges[(u, v)]))
+    return Arena(
+        states=arena.states + tuple(f"dead{d - base}" for d in dead),
+        edges=edges, edge_list=edge_list, out=tuple(map(tuple, out)),
+        src=arena.src, tgt=arena.tgt,
+    )
+
+
+def test_validate_arena_matches_fixpoint_reference():
+    # The reverse BFS of ``Arena.hops`` names the same states, in state
+    # order, as the fixpoint it replaced, with every other violation in
+    # place, on valid arenas and on copies with states off every route.
+    rng = random.Random(20)
+    arenas = [game.arena for _, game in corpus_games()]
+    arenas += [random_arena(rng) for _ in range(30)] + [grid_arena(3)]
+    rings = 0
+    for k, arena in enumerate(arenas):
+        assert validate_arena(arena) == _fixpoint_validate_arena(arena) == [], k
+        for _ in range(3):
+            broken = _with_dead_states(arena, rng)
+            got = validate_arena(broken)
+            assert got == _fixpoint_validate_arena(broken), k
+            dead = broken.states[len(arena.states):]
+            assert got[-len(dead):] == [
+                f"target unreachable from {name!r}" for name in dead], k
+            # Only a ring leads from the last added state to the first.
+            rings += (len(broken.states) - 1, len(arena.states)) in broken.edges
+    assert rings >= 20, rings
+
+
+def test_long_chain_declared_source_first_validates_in_linear_time():
+    # Each edge leads one state closer to the target, declared from the
+    # source on: the fixpoint rescanned every edge once per state here.
+    names = [f"s{i}" for i in range(20_000)]
+    edges = [(frm, to, constant(1)) for frm, to in zip(names, names[1:])]
+    started = time.perf_counter()
+    arena = build_arena(names, edges, names[0], names[-1])
+    assert time.perf_counter() - started < 2
+    assert arena.hops[arena.src] == len(names) - 1
 
 
 def test_roundtrip_parse_serialize():

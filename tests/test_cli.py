@@ -8,6 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyncong import cli
 from dyncong.arena import serialize_arena
 from dyncong.cli import run
 
@@ -208,9 +209,11 @@ def test_spe_exists_rejects_objective_flags(capsys, fig1_file, flags):
     assert "mutually exclusive" in err
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "empty"])
 def test_spe_dump_lambda_unwritable(capsys, fig1_file, tmp_path, where):
-    dump = tmp_path if where == "directory" else tmp_path / "absent" / "x.json"
+    # An empty path is a path that cannot be written, not an absent flag.
+    dump = {"directory": tmp_path, "empty": "",
+            "missing-parent": tmp_path / "absent" / "x.json"}[where]
     code, out, err = invoke_raw(
         capsys, "spe", "--arena", fig1_file, "--players", "2", "--exists",
         "--dump-lambda", str(dump),
@@ -218,6 +221,29 @@ def test_spe_dump_lambda_unwritable(capsys, fig1_file, tmp_path, where):
     assert code == 2
     assert out == ""
     assert err.startswith("dyncong: cannot write ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags", [("--best", "--worst"), ("--gamma", "1,x"), ("--gamma", "1")],
+    ids=["best-worst", "gamma-not-integers", "gamma-too-short"],
+)
+def test_spe_rejects_bad_objective_before_any_work(capsys, monkeypatch,
+                                                   fig1_file, tmp_path, flags):
+    # The objective flags are checked before the label fixpoint runs, so
+    # a bad one exits 2 and leaves no ``--dump-lambda`` file behind.
+    def no_fixpoint(game):
+        raise AssertionError("compute_lambda ran before the flags were checked")
+
+    monkeypatch.setattr(cli, "compute_lambda", no_fixpoint)
+    dump = tmp_path / "lambda.json"
+    code, out, err = invoke_raw(
+        capsys, "spe", "--arena", fig1_file, "--players", "2", *flags,
+        "--dump-lambda", str(dump),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("dyncong: ") and err.count("\n") == 1
+    assert not dump.exists()
 
 
 def test_check_spe(capsys, tmp_path, fig1_file):

@@ -376,7 +376,7 @@ def test_one_sweep_values_match_reference_tables():
     others = [Game(arena, n) for arena in (fig1_arena(), same_hop) for n in (1, 2, 3)]
     others += [Game(grid_arena(k), 2) for k in (3, 4)]
     for k, game in enumerate(layered + others):
-        hops = ne._hops_to_target(game.arena)
+        hops = game.arena.hops
         assert (k < len(layered)) == all(
             hops[v] < hops[u] for u, v in game.arena.edges if u != game.arena.tgt
         ), k

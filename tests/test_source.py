@@ -67,3 +67,24 @@ def test_oracles_import_no_solver():
         assert top not in SOLVER_MODULES, (module, name)
         if top == "dynamics":
             assert name in BLIND_PROFILE_MODEL, (module, name)
+
+
+def _unused_imports(tree):
+    """Names bound by a module-level import that the module never reads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_module_import_is_used():
+    # ``__init__.py`` imports to re-export, so it is left out.
+    modules = sorted(Path(dyncong.__file__).parent.glob("*.py"))
+    for path in modules:
+        if path.name != "__init__.py":
+            assert _unused_imports(ast.parse(path.read_text())) == [], path.name
