@@ -35,13 +35,26 @@ from .ne import (
 )
 from .outcome import path_from_json
 from .socopt import constrained_social_optimum, social_optimum
-from .spe import (
-    LambdaResult,
-    check_spe_outcome,
-    compute_lambda,
-    constrained_spe,
-    gamma_min_spe,
-    spe_exists,
+
+# The SPE solver is imported on first use: of the CLI's commands only ``spe``
+# and ``check-spe`` need it, and every command compiles what it imports.
+_SPE_NAMES = (
+    "LambdaResult",
+    "check_spe_outcome",
+    "compute_lambda",
+    "constrained_spe",
+    "gamma_min_spe",
+    "spe_exists",
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += ["spe", *_SPE_NAMES]
+
+
+def __getattr__(name):
+    if name == "spe" or name in _SPE_NAMES:
+        import importlib
+
+        spe = importlib.import_module(".spe", __name__)
+        return spe if name == "spe" else getattr(spe, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,6 @@ from .graphs import (
 from .ne import check_ne_outcome, compute_values, equilibrium_ratio, gamma_min_ne
 from .outcome import move_from_json, path_from_json
 from .socopt import constrained_social_optimum, social_optimum
-from .spe import check_spe_outcome, compute_lambda, gamma_min_spe, spe_exists
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -263,6 +262,12 @@ def cmd_spe(args):
             )
     else:
         gamma = _parse_gamma(args, game.n)
+    # Imported here, like ``oracle_cli``: only ``spe`` and ``check-spe`` use
+    # the SPE solver, and compiling it for every other command raised the
+    # peak resident memory of `ne --worst` on grid4 n=2 by about 0.15 MB
+    # (bench/child.py).
+    from .spe import compute_lambda, gamma_min_spe, spe_exists
+
     lam = compute_lambda(game)
     if args.dump_lambda is not None:
         entries = []
@@ -298,7 +303,10 @@ def cmd_spe(args):
 def cmd_check(args):
     game = _load_game(args)
     path = path_from_json(game, _load_json(args.outcome))
-    check = check_ne_outcome if args.command == "check-ne" else check_spe_outcome
+    if args.command == "check-ne":
+        check = check_ne_outcome
+    else:
+        from .spe import check_spe_outcome as check
     accepted = check(game, path)
     _emit({"command": args.command, "accepted": accepted}, args)
     return EXIT_OK if accepted else EXIT_NO

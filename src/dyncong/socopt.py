@@ -22,9 +22,12 @@ Successors come from a staged fold over the occupied states in index order,
 not from the product of per-state compositions: the fold keeps a map from
 partial successor counts to the least partial weight, so duplicate
 successors merge before the product grows.  Per-state options are cached per
-``(state, count)``.  A node is an integer that holds the counts as digits in
-base ``n + 1``, first state most significant; integer order is then tuple
-order, and a successor is a sum.
+``(state, count)``.  The node budget bounds each options list, by its
+binomial size before it is built, and each merged map, so a state crowded
+with players ends in ``BudgetExceeded`` rather than in an unbounded list.
+A node is an integer that holds the counts as digits in base ``n + 1``,
+first state most significant; integer order is then tuple order, and a
+successor is a sum.
 
 Two tie-break rules keep the witness the one plain Dijkstra would return:
 
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .arena import Game
@@ -81,6 +85,7 @@ class SuccessorFold:
         num_states = len(game.arena.states)
         self.place = [(game.n + 1) ** (num_states - 1 - v) for v in range(num_states)]
         self._options: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        self.budget = node_budget()
 
     def encode(self, abstract) -> int:
         return sum(count * place for count, place in zip(abstract, self.place))
@@ -102,6 +107,10 @@ class SuccessorFold:
         cached = self._options.get((state, count))
         if cached is None:
             outs = self.view.out[state]
+            if math.comb(count + len(outs) - 1, len(outs) - 1) > self.budget:
+                raise BudgetExceeded(
+                    f"social-optimum step options exceeded {self.budget} entries"
+                )
             cached = []
             for combo in compositions(count, len(outs)):
                 weight = h = delta = 0
@@ -144,6 +153,10 @@ class SuccessorFold:
                         or (w == cur[0] and base + j < cur[2])
                     ):
                         merged[k] = (w, wh, base + j)
+                if len(merged) > self.budget:
+                    raise BudgetExceeded(
+                        f"social-optimum successor fold exceeded {self.budget} nodes"
+                    )
             partial = merged
         return partial
 
@@ -173,7 +186,7 @@ def _search(game: Game, bound=None) -> SocialOptimum | None:
     start = fold.encode(parikh(game, initial_config(game)))
     goal = fold.encode(parikh(game, target_config(game)))
     depth_cap = game.n * len(game.arena.states)
-    budget = node_budget()
+    budget = fold.budget
 
     start_h = fold.heuristic(start)
     if bound is not None and start_h > bound:

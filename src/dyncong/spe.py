@@ -12,6 +12,9 @@ consistent continuations are evaluated on a counter graph, where each player
 carries a residual budget that tightens with every label passed.  A player's
 deviations from an edge depend only on the edge's source and the other
 players' moves, so each round computes one value per such deviation class.
+Rounds are semi-naive (Bancilhon and Ramakrishnan, SIGMOD 1986): after a
+stratum's first round, only what a rewritten label can reach is re-derived,
+and the counter nodes of finished strata are evaluated once per fixpoint.
 
 A label of -inf marks an edge whose source has a successor with no consistent
 continuation at all; such an edge can never be used.  All finite labels at the
@@ -21,6 +24,7 @@ fixpoint are bounded by ``|V| * kappa``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arena import Game
 from .costfn import kappa
@@ -46,24 +50,21 @@ LabelTable = dict[EdgeKey, tuple]  # per-edge tuple of per-player labels
 
 def region(game: Game, config: Config) -> int:
     """Number of players already on the target; never decreases along play."""
-    tgt = game.arena.tgt
-    return sum(1 for s in config if s == tgt)
+    return config.count(game.arena.tgt)
 
 
 def initial_counters(game: Game, config: Config) -> tuple:
-    tgt = game.arena.tgt
-    return tuple(0 if s == tgt else INF for s in config)
+    return tuple(0 if s == game.arena.tgt else INF for s in config)
 
 
 class CounterExploration:
     """Reachable part of a counter graph from a set of start configurations.
 
-    Shares one forward exploration, one backward (coaccessibility) pass and
-    one SCC sweep across all queries against the same labels: "is there a
-    valid path" (:meth:`valid_exists`) and "what is the worst consistent
-    cost" (:meth:`sup`, every player's value in the one sweep).  The labels
-    are read in ``__init__`` only, so a caller may rewrite them while it
-    still queries the exploration.
+    Shares one forward exploration and one SCC sweep across all queries
+    against the same labels: "is there a valid path" (:meth:`valid_exists`)
+    and "what is the worst consistent cost" (:meth:`sup`, every player's
+    value in the one sweep).  The labels are read in ``__init__`` only, so a
+    caller may rewrite them while it still queries the exploration.
 
     Nodes are ``(config, counters)``.  Along an edge, a player on the target
     gets counter 0; any other counter becomes the minimum of itself and the
@@ -93,31 +94,46 @@ class CounterExploration:
     the coaccessible part of ``adjacency`` and ``targets`` (the target nodes
     in ``adjacency`` order) are those of the full counter graph, and
     ``coaccessible`` is filled in the same order, so the witness search of
-    :func:`gamma_min_spe` breaks cost ties the same way.
+    :func:`gamma_min_spe` breaks cost ties the same way.  ``coaccessible``
+    and ``targets`` are computed on first use; the label rounds never read
+    them.
+
+    ``known`` maps finished nodes to their worst costs (None: not
+    coaccessible).  A known node counts in ``nodes`` and the node budget but
+    is not expanded; the sweep takes its value, and adds every node of a
+    region above the lowest start's.  So pass ``known`` only while those
+    regions' labels are final: a node's value then depends on the node
+    alone, and no component spans two regions, as the region never
+    decreases along an edge.  ``coaccessible`` and ``targets`` assume no
+    ``known``.
 
     ``counter_bound`` checks every counter of every explored edge, before the
     prune test.  Pruned nodes are not expanded, but their counters obey the
     bound too: a finite counter is at most some finite label it met (or an
     initial 0), and ``compute_lambda`` asserts labels against the bound.
+    Counters behind a known node are not checked again: each is at most one
+    checked on the edge into it, or a final label, at most ``|V| * kappa``.
     """
 
     def __init__(self, game: Game, graph: ReachableGraph, labels: LabelTable,
-                 starts, counter_bound=None):
+                 starts, counter_bound=None, known=None):
         n = game.n
         tgt = game.arena.tgt
         dist1 = game.view.dist1
-        tgt_cfg = target_config(game)
         budget = node_budget()
         bound = INF if counter_bound is None else counter_bound
+        known = self._known = {} if known is None else known
         self.start_nodes = {
             c: (c, initial_counters(game, c)) for c in starts
         }
-        adjacency: dict = {}
+        adjacency = self.adjacency = {}
         movers: dict = {}  # per config, the players not yet on the target
-        seen = set(self.start_nodes.values())
+        seen = self.nodes = set(self.start_nodes.values())
         frontier = list(seen)
         while frontier:
             node = frontier.pop()
+            if node in known:
+                continue
             config, counters = node
             players = movers.get(config)
             if players is None:
@@ -149,34 +165,37 @@ class CounterExploration:
                     if len(seen) > budget:
                         raise BudgetExceeded("counter graph above node budget")
                     frontier.append(nxt_node)
-        self.nodes = seen
-        self.adjacency = adjacency
+        self._n = n
+        self._tgt = tgt
 
-        # Coaccessibility: nodes from which some (c_tgt, b) is reachable.
-        incoming: dict = {node: [] for node in seen}
-        for node, succs in adjacency.items():
+    @cached_property
+    def targets(self):
+        """The target nodes, in ``adjacency`` order."""
+        tgt_cfg = (self._tgt,) * self._n
+        return dict.fromkeys(
+            node for node in self.adjacency if node[0] == tgt_cfg
+        )
+
+    @cached_property
+    def coaccessible(self):
+        """Nodes from which a target node is reachable (backward pass)."""
+        incoming: dict = {node: [] for node in self.nodes}
+        for node, succs in self.adjacency.items():
             for _, nxt_node in succs:
                 incoming[nxt_node].append(node)
-        targets = dict.fromkeys(
-            node for node in adjacency if node[0] == tgt_cfg
-        )
-        coaccessible = set(targets)
-        stack = list(targets)
+        coaccessible = set(self.targets)
+        stack = list(self.targets)
         while stack:
             node = stack.pop()
             for prev in incoming[node]:
                 if prev not in coaccessible:
                     coaccessible.add(prev)
                     stack.append(prev)
-        self.coaccessible = coaccessible
-        self.targets = targets
-        self._n = n
-        self._sup = None
+        return coaccessible
 
     def valid_exists(self, config: Config) -> bool:
         """Whether the counter graph has a valid path from this start."""
-        node = self.start_nodes[config]
-        return node in self.coaccessible
+        return self.sup(config, 0) is not None
 
     def sup(self, config: Config, player: int):
         """Worst cost of ``player`` over consistent continuations from config.
@@ -189,90 +208,96 @@ class CounterExploration:
         in-component edge would itself be pumpable).  The first call sweeps
         the condensation once for every player.
         """
-        if self._sup is None:
-            self._sup = self._sweep()
-        values = self._sup.get(config)
+        values = self._sweep.get(config)
         return None if values is None else values[player]
 
+    @cached_property
     def _sweep(self):
-        """Iterative Tarjan over the coaccessible subgraph.  A component is
-        complete only after every component it reaches, so each one's
-        per-player worst costs are computed as it is popped."""
+        """Per start configuration, every player's worst cost, or None
+        without a valid path.
+
+        Iterative Tarjan (1972) over the explored nodes, with stack
+        positions as visit numbers (the stack keeps push order, and a
+        popped component takes every node above its root).  A component is
+        popped after all it reaches, so it is then known whether it is
+        coaccessible (it holds the target node or has an edge into a
+        coaccessible component) and each player's worst cost, under the
+        pumping rule of :meth:`sup`.  A known node is a component of its own
+        with its memoised value; nodes of a region above the lowest start's
+        are memoised in turn."""
         n = self._n
+        tgt = self._tgt
         adjacency = self.adjacency
-        coaccessible = self.coaccessible
-        index: dict = {}
-        low: dict = {}
-        on_stack: set = set()
-        stack: list = []
-        comp_of: dict = {}
-        comp_sup: list = []
+        known = self._known
+        floor = min((c.count(tgt) for c in self.start_nodes), default=n)
+        low = {}  # stack position, lowered to the lowest one reached
+        stack = []
+        work = []
+        comp_of = {}  # set as a node leaves the stack
+        comp_sup = []  # per component, its worst costs or None
 
-        def co_succs(node):
-            return iter([
-                succ for _, succ in adjacency[node] if succ in coaccessible
-            ])
+        def enter(node):
+            low[node] = len(stack)
+            stack.append(node)
+            work.append((node, low[node], iter(adjacency.get(node, ()))))
 
-        for root in coaccessible:
-            if root in index:
-                continue
-            work = [(root, co_succs(root))]
-            index[root] = low[root] = len(index)
-            stack.append(root)
-            on_stack.add(root)
+        for root in self.start_nodes.values():
+            if root not in low:
+                enter(root)
             while work:
-                node, it = work[-1]
-                advanced = False
-                for succ in it:
-                    if succ not in index:
-                        index[succ] = low[succ] = len(index)
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, co_succs(succ)))
-                        advanced = True
+                node, pos, succs = work[-1]
+                for _, succ in succs:
+                    if succ not in low:
+                        enter(succ)
                         break
-                    if succ in on_stack:
-                        low[node] = min(low[node], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] != index[node]:
-                    continue
-                comp = []
-                k = len(comp_sup)
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp_of[member] = k
-                    comp.append(member)
-                    if member == node:
-                        break
-                value = [
-                    0 if any(m in self.targets for m in comp) else NEG_INF
-                ] * n
-                for member in comp:
-                    for weights, succ in adjacency[member]:
-                        j = comp_of.get(succ)
-                        if j is None:  # not coaccessible
-                            continue
-                        if j == k:  # a charged in-component edge pumps
+                    if succ not in comp_of:
+                        low[node] = min(low[node], low[succ])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] != pos:
+                        continue
+                    comp = stack[pos:]
+                    del stack[pos:]
+                    k = len(comp_sup)
+                    for member in comp:
+                        comp_of[member] = k
+                    if node in known:
+                        comp_sup.append(known[node])
+                        continue
+                    here = node[0].count(tgt)  # the region of every member
+                    coaccessible = here == n  # the target node
+                    value = [0 if coaccessible else NEG_INF] * n
+                    for member in comp:
+                        for weights, succ in adjacency[member]:
+                            j = comp_of[succ]
+                            if j == k:  # a charged in-component edge pumps
+                                for i in range(n):
+                                    if weights[i] > 0:
+                                        value[i] = INF
+                                continue
+                            after = comp_sup[j]
+                            if after is None:  # not coaccessible
+                                continue
+                            coaccessible = True
                             for i in range(n):
-                                if weights[i] > 0:
-                                    value[i] = INF
-                            continue
-                        after = comp_sup[j]
-                        for i in range(n):
-                            candidate = weights[i] + after[i]
-                            if candidate > value[i]:
-                                value[i] = candidate
-                assert min(value) >= 0, "coaccessible node must reach a target"
-                comp_sup.append(value)
+                                candidate = weights[i] + after[i]
+                                if candidate > value[i]:
+                                    value[i] = candidate
+                    if coaccessible:
+                        assert min(value) >= 0, (
+                            "coaccessible node must reach a target"
+                        )
+                    else:
+                        value = None
+                    comp_sup.append(value)
+                    if here > floor:
+                        for member in comp:
+                            known[member] = value
         return {
-            c: comp_sup[comp_of[node]]
-            for c, node in self.start_nodes.items() if node in comp_of
+            c: comp_sup[comp_of[node]] for c, node in self.start_nodes.items()
         }
 
 
@@ -306,13 +331,22 @@ def compute_lambda(game: Game) -> LambdaResult:
     one value: the minimum of deviation cost plus worst consistent
     continuation.  An edge's label holds its classes' values (0 for a player
     on the target, -inf once the source is dead); a round rewrites only the
-    edges whose values changed.  Rounds stay Jacobi style, as in the
-    definitional fixpoint, with no snapshot: the round's
+    edges whose values changed.  After a stratum's first round, the sources
+    of the edges rewritten in the last round are closed backwards over the
+    stratum's predecessor lists; the round explores the counter graph from
+    the starts in that closure only, and recomputes only the sources in it.
+    The rest keep their values exactly: ``sup(dev, .)`` and the valid-path
+    check read only labels of edges reachable from ``dev``, none of which
+    changed, and the counter bound only grows, so earlier checks still
+    hold.  Counter nodes of higher strata, whose labels are final, are
+    memoised once per call in ``known``.  Rounds stay Jacobi style, as in
+    the definitional fixpoint, with no snapshot: the round's
     ``CounterExploration`` reads the labels in its constructor, before any
-    is rewritten, and every value of the round comes from it.  Values must
-    shrink, a dead source must stay dead, refinement must stabilise within
-    ``|V| (1 + n kappa |E|^n)`` rounds, and final finite labels must not
-    exceed ``|V| * kappa``; violations raise.
+    is rewritten, and every value of the round comes from it or, for a
+    start outside the closure, from an earlier round that read the same
+    labels.  Values must shrink, a dead source must stay dead, refinement
+    must stabilise within ``|V| (1 + n kappa |E|^n)`` rounds, and final
+    finite labels must not exceed ``|V| * kappa``; violations raise.
     """
     arena = game.arena
     graph = reachable_graph(game)
@@ -333,20 +367,22 @@ def compute_lambda(game: Game) -> LambdaResult:
     iteration_cap = len(arena.states) * (
         1 + n * kap * len(arena.edges) ** n
     )
+    known: dict = {}  # counter nodes of finished regions: worst costs
 
     for j in range(n - 1, -1, -1):
         sources = by_region.get(j, [])
         # Round-invariant: the start configurations of the counter graphs
-        # (every successor of a source), each source's deviation classes as
-        # [player, deviations, edges, value], and each edge's per-player
-        # class (None for a player already on the target).
-        starts = set()
+        # (every successor of a source) with their predecessors among the
+        # sources, each source's deviation classes as [player, deviations,
+        # edges, value], and each edge's per-player class (None for a player
+        # already on the target).
+        preds: dict[Config, list] = {}
         classes: dict[Config, list] = {}
         edge_classes: dict[EdgeKey, list] = {}
         for config in sources:
             keyed: dict = {}
             for nxt, _ in graph.successors(config):
-                starts.add(nxt)
+                preds.setdefault(nxt, []).append(config)
                 row = edge_classes[(config, nxt)] = []
                 for i in range(n):
                     cls = None
@@ -361,6 +397,8 @@ def compute_lambda(game: Game) -> LambdaResult:
                     row.append(cls)
             classes[config] = list(keyed.values())
         dead = set()
+        worst: dict = {}  # per start: its worst costs, False without a path
+        affected = {*preds, *sources}  # the first round reads everything
         stale = dict.fromkeys(edge_classes)  # in edge order: first writes
         iterations = 0
         while stale:
@@ -368,6 +406,14 @@ def compute_lambda(game: Game) -> LambdaResult:
                 labels[edge] = tuple(
                     0 if cls is None else cls[3] for cls in edge_classes[edge]
                 )
+            if iterations:  # the configs that reach a rewritten edge
+                todo = [config for config, _ in stale]
+                affected = set()
+                while todo:
+                    config = todo.pop()
+                    if config not in affected:
+                        affected.add(config)
+                        todo += preds.get(config, ())
             stale = {}
             iterations += 1
             assert iterations <= iteration_cap, (
@@ -375,13 +421,19 @@ def compute_lambda(game: Game) -> LambdaResult:
             )
             bound = max(ceiling, _mu_bound(game, iterations, kap))
             exploration = CounterExploration(
-                game, graph, labels, starts, counter_bound=bound
+                game, graph, labels, [c for c in affected if c in preds],
+                counter_bound=bound, known=known,
             )
-            sup = exploration.sup
+            for start in exploration.start_nodes:
+                worst[start] = exploration.valid_exists(start) and [
+                    exploration.sup(start, i) for i in range(n)
+                ]
+            del exploration  # freed before the next one is built
             for config in sources:
+                if config not in affected:
+                    continue
                 is_dead = not all(
-                    exploration.valid_exists(succ)
-                    for succ, _ in graph.successors(config)
+                    worst[succ] for succ, _ in graph.successors(config)
                 )
                 if config in dead:
                     assert is_dead, "a dead source never comes back to life"
@@ -395,13 +447,12 @@ def compute_lambda(game: Game) -> LambdaResult:
                     else:
                         new = INF
                         for dev, dev_cost in devs:
-                            worst = sup(dev, i)
-                            assert worst is not None, (
+                            assert worst[dev], (
                                 "live source implies consistent "
                                 "continuations from every deviation"
                             )
-                            if dev_cost + worst < new:
-                                new = dev_cost + worst
+                            if dev_cost + worst[dev][i] < new:
+                                new = dev_cost + worst[dev][i]
                         assert new == INF or new <= bound, (
                             "label exceeded its growth bound"
                         )

@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -234,7 +236,7 @@ def test_spe_rejects_bad_objective_before_any_work(capsys, monkeypatch,
     def no_fixpoint(game):
         raise AssertionError("compute_lambda ran before the flags were checked")
 
-    monkeypatch.setattr(cli, "compute_lambda", no_fixpoint)
+    monkeypatch.setattr("dyncong.spe.compute_lambda", no_fixpoint)
     dump = tmp_path / "lambda.json"
     code, out, err = invoke_raw(
         capsys, "spe", "--arena", fig1_file, "--players", "2", *flags,
@@ -322,6 +324,47 @@ def test_budget_abort(capsys, fig5_file, monkeypatch):
     )
     assert code == 3
     assert payload is None
+
+
+# The child caps its own address space, so a list that outgrows the budget
+# ends in MemoryError tracebacks (exit 1) there instead of filling the
+# machine, and exits 99 when the command takes a second or more.
+_CAPPED_CHILD = """
+import resource, sys, time
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from dyncong.cli import run
+started = time.perf_counter()
+code = run(sys.argv[1:])
+sys.exit(code if time.perf_counter() - started < 1 else 99)
+"""
+
+
+def test_so_on_crowded_partition_gadget_exits_on_budget(tmp_path):
+    # Family (1, ..., 8) gives 52 players, whose first step from src has
+    # C(59, 7), about 3.4e8, compositions over its 8 out-edges: more than
+    # the default budget of 10**7, so the options list is never built.
+    from pathlib import Path
+
+    from dyncong.oracle import gen_partition_arena
+
+    game, _ = gen_partition_arena(range(1, 9))
+    assert game.n == 52
+    arena = tmp_path / "partition.json"
+    arena.write_text(serialize_arena(game.arena))
+    env = dict(os.environ)
+    env.pop("DYNCONG_NODE_BUDGET", None)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, "so", "--arena", str(arena),
+         "--players", "52"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "dyncong: social-optimum step options exceeded 10000000 entries\n"
+    )
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "-5", "0"])

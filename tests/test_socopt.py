@@ -1,9 +1,13 @@
 import random
 
+import pytest
+
+import dyncong.socopt as socopt
 from dyncong.arena import Game, build_arena
 from dyncong.costfn import kappa
 from dyncong.dynamics import BlindProfile, blind_strategy, play_profile
 from dyncong.graphs import (
+    BudgetExceeded,
     distributions,
     eval_path,
     initial_config,
@@ -20,6 +24,7 @@ from dyncong.socopt import (
 from corpus import (
     diamond_arena,
     fig1_arena,
+    grid_arena,
     merge_arena,
     random_arena,
     trivial_arena,
@@ -198,3 +203,24 @@ def test_negative_bound_is_unsatisfiable_when_source_is_target():
     assert social_optimum(game).cost == 0
     assert constrained_social_optimum(game, 0)[0]
     assert constrained_social_optimum(game, -1) == (False, None)
+
+
+def test_successor_fold_stays_within_the_node_budget(monkeypatch):
+    # Two of six players on each of grid3's first three states: no options
+    # list has more than 6 entries, but the successor map reaches 108 nodes.
+    game = Game(grid_arena(3), 6)
+    abstract = (2, 2, 2) + (0,) * 6
+
+    def fold_under(budget):
+        monkeypatch.setattr(socopt, "node_budget", lambda: budget)
+        return SuccessorFold(game)
+
+    fold = fold_under(108)
+    assert [len(fold.options(v, 2)) for v in range(3)] == [6, 6, 3]
+    assert len(fold.successors(fold.encode(abstract))) == 108
+    fold = fold_under(107)
+    with pytest.raises(BudgetExceeded, match="successor fold exceeded 107 nodes"):
+        fold.successors(fold.encode(abstract))
+    # C(2 + 2, 2) = 6 compositions of two players over r0c0's three edges.
+    with pytest.raises(BudgetExceeded, match="step options exceeded 5 entries"):
+        fold_under(5).options(0, 2)

@@ -1,8 +1,14 @@
 import ast
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
 import dyncong
+from dyncong.arena import serialize_arena
+
+from corpus import fig1_arena
 
 # With bytecode caching off (``PYTHONDONTWRITEBYTECODE=1``) every CLI command
 # compiles each module it imports, and the compile peak of the largest one is
@@ -88,3 +94,28 @@ def test_every_module_import_is_used():
     for path in modules:
         if path.name != "__init__.py":
             assert _unused_imports(ast.parse(path.read_text())) == [], path.name
+
+
+def test_only_spe_commands_import_the_spe_solver(tmp_path):
+    # Every command compiles the modules it imports, so the package and the
+    # CLI import ``spe`` on first use; its names stay reachable from the
+    # package.  A fresh interpreter, since the test session imported it.
+    arena = tmp_path / "fig1.json"
+    arena.write_text(serialize_arena(fig1_arena()))
+    script = (
+        "import contextlib, io, sys\n"
+        "import dyncong\n"
+        "from dyncong.cli import run\n"
+        "argv = ['--arena', sys.argv[1], '--players', '2']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert run(['ne', '--best', *argv]) == 0\n"
+        "        assert 'dyncong.spe' not in sys.modules\n"
+        "        assert run(['spe', '--best', *argv]) == 0\n"
+        "assert 'dyncong.spe' in sys.modules\n"
+        "assert dyncong.spe_exists is sys.modules['dyncong.spe'].spe_exists\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dyncong.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(arena)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -5,13 +5,16 @@ import pytest
 import dyncong.spe as spe
 from dyncong.arena import Game
 from dyncong.dynamics import BlindProfile, play_profile
+from dyncong.costfn import kappa
 from dyncong.graphs import (
     INF,
     NEG_INF,
+    BudgetExceeded,
     dev_set,
     initial_config,
     step,
     target_config,
+    target_distances,
 )
 from dyncong.ne import check_ne_outcome, compute_values, gamma_min_ne
 from dyncong.oracle import _all_moves
@@ -30,13 +33,16 @@ from dyncong.spe import (
 import spe_reference
 from corpus import (
     chain_arena,
+    detour_arena,
     diamond_arena,
     differential_games,
+    fig5_arena,
     free_wait_arena,
     grid_arena,
     layered_arena,
     ne_gap_games,
     paid_wait_arena,
+    random_arena,
     shortcut_arena,
     threshold_arena,
     trivial_arena,
@@ -555,73 +561,97 @@ def test_pruned_counter_graph_matches_unpruned_reference(corpus):
 # -------------------------------------------------- one-shot deviation oracle
 
 
-def oneshot_stable_sets(game, horizon):
+def outcome_domain(game, graph, start, horizon=None, path_cap=None):
+    """The finite set of plays from ``start`` that the one-shot oracle
+    starts from, each mapped to its per-player total costs: the plays of at
+    most ``horizon`` steps, or, with no horizon, the plays on which every
+    player's cost stays at most ``|V| * kappa``.  The latter is finite when
+    every edge off the target costs at least 1 at load one.  None when there
+    are more than ``path_cap`` plays."""
+    goal = target_config(game)
+    cap = len(game.arena.states) * kappa(game)
+    to_go = target_distances(game.arena)  # a lower bound on what is left
+    out = {}
+
+    def walk(configs, costs):
+        if configs[-1] == goal:
+            out[tuple(configs)] = costs
+            return path_cap is None or len(out) <= path_cap
+        if len(configs) - 1 == horizon:
+            return True
+        for nxt, weights in graph.successors(configs[-1]):
+            paid = tuple(c + w for c, w in zip(costs, weights))
+            if horizon is None and any(
+                c + to_go[s] > cap for c, s in zip(paid, nxt)
+            ):
+                continue
+            if not walk(configs + [nxt], paid):
+                return False
+        return True
+
+    return out if walk([start], (0,) * game.n) else None
+
+
+def oneshot_stable_sets(game, horizon=None, path_cap=None):
     """Greatest fixpoint of the one-shot-deviation stability operator over
-    bounded path sets, per configuration.  Independent of the label
-    machinery: pure enumeration.
+    the plays of :func:`outcome_domain`, per configuration.  Independent of
+    the label machinery: pure enumeration.  None when some configuration's
+    domain has more than ``path_cap`` plays.
+
+    The operator is monotone, so sweeping in place from the whole domain
+    reaches its greatest fixpoint.  With no horizon, that is the fixpoint
+    over all plays: every play of the latter is label-consistent, so it
+    keeps each player's suffix cost at or below a finite label, at most
+    ``|V| * kappa``, and lies in the domain; and a fixpoint inside the
+    domain is a fixpoint over all plays.
     """
     graph = reachable_graph(game)
-    goal = target_config(game)
+    n = game.n
+    sets = {}
+    for c in graph.configs:
+        sets[c] = outcome_domain(game, graph, c, horizon, path_cap)
+        if sets[c] is None:
+            return None
 
-    def paths_from(start):
-        out = []
+    def worst_of(plays):
+        return [max((costs[i] for costs in plays.values()), default=None)
+                for i in range(n)]
 
-        def walk(configs):
-            if configs[-1] == goal:
-                out.append(tuple(configs))
-                return
-            if len(configs) - 1 == horizon:
-                return
-            for nxt, _ in graph.successors(configs[-1]):
-                walk(configs + [nxt])
-
-        walk([start])
-        return set(out)
-
-    sets = {c: paths_from(c) for c in graph.configs}
-
-    def player_cost(configs, player):
-        total = 0
-        for cur, nxt in zip(configs, configs[1:]):
-            w, _ = step(game, cur, tuple(zip(cur, nxt)))
-            total += w[player]
-        return total
-
+    worst = {c: worst_of(plays) for c, plays in sets.items()}
+    deviations = {}
     changed = True
     while changed:
         changed = False
         for c in graph.configs:
-            keep = set()
-            for configs in sets[c]:
+            keep = {}
+            for configs, total in sets[c].items():
                 ok = True
-                for l in range(len(configs) - 1):
-                    cur = configs[l]
-                    if any(
-                        not sets[succ] for succ, _ in graph.successors(cur)
-                    ):
+                paid = (0,) * n
+                for cur, nxt in zip(configs, configs[1:]):
+                    succs = graph.successors(cur)
+                    if any(not sets[succ] for succ, _ in succs):
                         ok = False
                         break
-                    for i in range(game.n):
-                        suffix = player_cost(configs[l:], i)
-                        for dev, dev_cost in dev_set(
-                            game, cur, configs[l + 1], i
+                    for i in range(n):
+                        key = (cur, nxt, i)
+                        if key not in deviations:
+                            deviations[key] = dev_set(game, cur, nxt, i)
+                        if any(
+                            total[i] - paid[i] > dev_cost + worst[dev][i]
+                            for dev, dev_cost in deviations[key]
                         ):
-                            worst = max(
-                                player_cost(rho, i) for rho in sets[dev]
-                            )
-                            if suffix > dev_cost + worst:
-                                ok = False
-                                break
-                        if not ok:
+                            ok = False
                             break
                     if not ok:
                         break
+                    paid = tuple(p + w for p, w in zip(paid, dict(succs)[nxt]))
                 if ok:
-                    keep.add(configs)
-            if keep != sets[c]:
+                    keep[configs] = total
+            if len(keep) != len(sets[c]):
                 sets[c] = keep
+                worst[c] = worst_of(keep)
                 changed = True
-    return sets
+    return {c: set(plays) for c, plays in sets.items()}
 
 
 @pytest.mark.parametrize(
@@ -681,6 +711,50 @@ def test_label_machinery_matches_oneshot_oracle_on_layered_arenas():
         assert accepted == stable, k
         checked += 1
     assert checked >= 20, checked
+
+
+def test_label_machinery_matches_cost_bounded_oracle_on_cyclic_arenas():
+    # Arenas with cycles whose every edge off the target costs at least 1 at
+    # load one: paid_wait and detour, and the cyclic random_arena draws of
+    # seeds 3 and 11 (two players).  The oracle starts from the plays that
+    # cost each player at most |V| * kappa, so its fixpoint is the set of
+    # all SPE outcomes, with no horizon, and the SCC sweep and pumping rule
+    # of the counter graphs are checked against it.  Games with more than
+    # 16 reachable configurations, or a configuration with more than 5,000
+    # plays in its domain, are skipped and counted.
+    def positive(arena):
+        return all(fn(1) >= 1 for (u, _), fn in arena.edges.items()
+                   if u != arena.tgt)
+
+    games = [Game(paid_wait_arena(), 2), Game(paid_wait_arena(), 3),
+             Game(detour_arena(), 2), Game(detour_arena(), 3)]
+    for seed in (3, 11):
+        rng = random.Random(seed)
+        for _ in range(100):
+            arena = random_arena(rng)
+            if positive(arena) and not _is_dag(arena):
+                games.append(Game(arena, 2))
+    checked = too_many_configs = too_many_plays = 0
+    for game in games:
+        assert positive(game.arena) and not _is_dag(game.arena)
+        graph = reachable_graph(game)
+        if len(graph.configs) > 16:
+            too_many_configs += 1
+            continue
+        sets = oneshot_stable_sets(game, path_cap=5000)
+        if sets is None:
+            too_many_plays += 1
+            continue
+        start = initial_config(game)
+        lam = compute_lambda(game)
+        accepted = {
+            configs for configs in outcome_domain(game, graph, start)
+            if check_spe_outcome(game, path_from_configs(game, list(configs)), lam)
+        }
+        assert accepted == sets[start], checked
+        assert spe_exists(game, lam)[0] == bool(accepted), checked
+        checked += 1
+    assert (checked, too_many_configs, too_many_plays) == (30, 18, 6)
 
 
 @pytest.mark.parametrize(
@@ -827,3 +901,71 @@ def test_compute_lambda_matches_reference_rounds():
             assert gamma_min_spe(game, gamma, got) == (
                 spe_reference.gamma_min_spe(game, gamma, want)
             ), (k, gamma)
+
+
+def test_compute_lambda_matches_reference_on_larger_and_cyclic_games():
+    # Rounds that rebuild only the counter graphs a rewritten label can
+    # reach, and that reuse the worst costs of finished regions, give the
+    # reference's labels, in the same dict order, its rounds per region and
+    # its gamma-optimal costs and witnesses, on games with more regions and
+    # rounds than differential_games() and on random arenas with cycles.
+    rng = random.Random(23)
+    games = [Game(grid_arena(4), 2), Game(grid_arena(3), 3),
+             Game(fig5_arena(), 4)]
+    while len(games) < 15:
+        arena = random_arena(rng)
+        if not _is_dag(arena):
+            games.append(Game(arena, 2 + len(games) % 2))
+    for k, game in enumerate(games):
+        got = compute_lambda(game)
+        want = spe_reference.compute_lambda(game)
+        assert list(got.labels.items()) == list(want.labels.items()), k
+        assert got.region_iterations == want.region_iterations, k
+        assert got.ceiling == want.ceiling, k
+        n = game.n
+        alternating = tuple((-1) ** i for i in range(n))
+        for gamma in ((1,) * n, (-1,) * n, alternating):
+            assert gamma_min_spe(game, gamma, got) == (
+                spe_reference.gamma_min_spe(game, gamma, want)
+            ), (k, gamma)
+
+
+def _counter_graph_sizes(monkeypatch, game):
+    """Node count of each counter graph one compute_lambda builds."""
+    sizes = []
+    build = CounterExploration.__init__
+
+    def counting(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        sizes.append(len(self.nodes))
+
+    monkeypatch.setattr(CounterExploration, "__init__", counting)
+    compute_lambda(game)
+    monkeypatch.setattr(CounterExploration, "__init__", build)
+    return sizes
+
+
+def test_compute_lambda_explores_only_affected_starts_and_open_regions(
+        monkeypatch):
+    # grid4 with two players: 14 counter graphs in one call.  Built from
+    # every start of the region in every round, with finished regions
+    # explored again, they would hold 2,816 nodes; from the affected starts
+    # only, with the nodes of finished regions memoised, they hold 2,197.
+    sizes = _counter_graph_sizes(monkeypatch, Game(grid_arena(4), 2))
+    assert (len(sizes), sum(sizes), max(sizes)) == (14, 2197, 359)
+
+
+def test_counter_graph_budget_counts_memoised_nodes(monkeypatch):
+    # reachable_graph reads graphs.node_budget, so patching spe's copy
+    # leaves the configuration graph alone.  A memoised node is not expanded
+    # but still counts: the largest counter graph of the call holds 359
+    # nodes, and it fits a budget of exactly that and no less.
+    game = Game(grid_arena(4), 2)
+    want = compute_lambda(game)
+    assert max(_counter_graph_sizes(monkeypatch, game)) == 359
+    for budget in (100, 358):
+        monkeypatch.setattr(spe, "node_budget", lambda: budget)
+        with pytest.raises(BudgetExceeded, match="counter graph above node budget"):
+            compute_lambda(game)
+    monkeypatch.setattr(spe, "node_budget", lambda: 359)
+    assert list(compute_lambda(game).labels.items()) == list(want.labels.items())
