@@ -1,4 +1,5 @@
-"""Command-line front end: one query per invocation, JSON on stdout.
+"""Command-line front end: one query per invocation, JSON on stdout, the
+command line read against :data:`COMMANDS` (argparse took 5 ms a query).
 
 Exit codes: 0 answered yes / computed, 1 answered no (bound unsatisfied,
 check failed, no equilibrium), 2 invalid input, 3 search budget exceeded.
@@ -7,12 +8,10 @@ Stdout is deterministic for identical inputs; timing goes to stderr.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
-import re
 import sys
 import time
+from types import SimpleNamespace
 
 from .arena import Arena, ArenaError, Game, parse_arena
 from .costfn import CostFunctionError
@@ -46,37 +45,42 @@ class InputError(ValueError):
     pass
 
 
+class HelpShown(Exception):
+    """-h or --help was read and the help text printed: exit 0."""
+
+
 def _load_arena(path: str) -> Arena:
     """Reads and parses an arena file; parsing already validates it."""
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_arena(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise InputError(f"cannot read arena file: {exc}") from exc
 
 
 def _load_game(args) -> Game:
+    """The game, its tables built (``Game.view``) so that a player count
+    past the node budget stops before a command builds a gamma."""
     arena = _load_arena(args.arena)
     if args.players < 1:
         raise InputError("--players must be at least 1")
-    return Game(arena=arena, n=args.players)
+    game = Game(arena=arena, n=args.players)
+    game.view
+    return game
 
 
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _gamma_flags(args) -> list[str]:
-    return [
-        name
-        for name, flag in (("--best", args.best), ("--worst", args.worst),
-                           ("--gamma", args.gamma is not None))
-        if flag
-    ]
+    given = {"--best": args.best, "--worst": args.worst,
+             "--gamma": args.gamma is not None}
+    return [name for name, flag in given.items() if flag]
 
 
 def _parse_gamma(args, n: int):
@@ -105,10 +109,7 @@ def _jsonable(value):
 
 
 def _emit(payload, args) -> None:
-    if getattr(args, "format", "json") == "pretty":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload))
+    print(json.dumps(payload, indent=2 if args.format == "pretty" else None))
 
 
 def _profile_from_json(game: Game, data) -> BlindProfile:
@@ -270,15 +271,10 @@ def cmd_spe(args):
 
     lam = compute_lambda(game)
     if args.dump_lambda is not None:
-        entries = []
-        for (frm, to), labels in sorted(lam.labels.items()):
-            entries.append(
-                {
-                    "from": [game.arena.states[s] for s in frm],
+        entries = [{"from": [game.arena.states[s] for s in frm],
                     "to": [game.arena.states[s] for s in to],
-                    "labels": [_jsonable(v) for v in labels],
-                }
-            )
+                    "labels": [_jsonable(v) for v in labels]}
+                   for (frm, to), labels in sorted(lam.labels.items())]
         try:
             with open(args.dump_lambda, "w", encoding="utf-8") as handle:
                 json.dump({"lambda": entries}, handle, indent=2)
@@ -336,143 +332,145 @@ def cmd_oracle(args):
     return cmd_oracle(args)
 
 
-def _add_game_args(parser):
-    parser.add_argument("--arena", required=True, help="arena JSON file")
-    parser.add_argument("--players", type=int, required=True)
+GAME = "--arena=FILE --players=N"
+GAMMA = "[--gamma=W,...] [--best] [--worst] [--bound=N]"
+
+# Command -> (handler, usage, help).  Each usage word is an option, optional
+# in brackets, a flag unless "=METAVAR" follows, and an int if that is N.
+COMMANDS = {
+    "validate": (cmd_validate, "--arena=FILE",
+                 "parse and validate an arena file"),
+    "so": (cmd_so, f"{GAME} [--bound=N]", "social optimum"),
+    "blind-ne": (cmd_blind_ne, GAME,
+                 "blind Nash equilibrium by best-response iteration"),
+    "eval": (cmd_eval, f"{GAME} --profile=FILE", "evaluate a blind profile"),
+    "values": (cmd_values, GAME, "coalition punishment values"),
+    "ne": (cmd_ne, f"{GAME} {GAMMA}", "gamma-optimal Nash equilibrium"),
+    "check-ne": (cmd_check, f"{GAME} --outcome=FILE",
+                 "is the outcome a Nash equilibrium"),
+    "spe": (cmd_spe, f"{GAME} {GAMMA} [--exists] [--dump-lambda=FILE]",
+            "subgame-perfect equilibria"),
+    "check-spe": (cmd_check, f"{GAME} --outcome=FILE",
+                  "is the outcome subgame-perfect"),
+    "poa": (cmd_ratio, GAME, "price of anarchy"),
+    "pos": (cmd_ratio, GAME, "price of stability"),
+    "oracle so": (cmd_oracle, f"{GAME} --max-steps=N",
+                  "brute-force social optimum"),
+    "oracle br": (cmd_oracle, f"{GAME} --profile=FILE --player=N --max-len=N",
+                  "brute-force best response of the 1-based --player"),
+    "oracle values": (cmd_oracle, f"{GAME} --horizon=N",
+                      "brute-force coalition punishment values"),
+    "oracle ne-outcomes": (cmd_oracle, f"{GAME} --max-steps=N",
+                           "brute-force Nash equilibrium outcomes"),
+    "oracle gen-partition": (cmd_oracle, "--family=K,...",
+                             "partition gadget of positive integers K"),
+}
 
 
-def _add_gamma_args(parser):
-    parser.add_argument("--gamma", help="comma-separated per-player weights")
-    parser.add_argument("--best", action="store_true",
-                        help="shorthand for an all-ones gamma (default)")
-    parser.add_argument("--worst", action="store_true",
-                        help="shorthand for an all-minus-ones gamma")
-    parser.add_argument("--bound", type=int, default=None)
+def _help(name: str) -> str:
+    """The help text of a command of :data:`COMMANDS`, or of the program."""
+    if name in COMMANDS:
+        _, usage, text = COMMANDS[name]
+        return f"usage: dyncong {name} {usage.replace('=', ' ')}\n\n{text}\n"
+    rows = "".join(f"\n  {command:<22}{text}"
+                   for command, (_, _, text) in COMMANDS.items())
+    return ("usage: dyncong [--format json|pretty] COMMAND [OPTIONS]\n\n"
+            "Dynamic network congestion game solvers. Bound comparisons are "
+            "non-strict (cost <= bound).\nAn option may be shortened to a "
+            "unique prefix; dyncong COMMAND --help lists its options.\n\n"
+            f"commands:{rows}\n")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every
-    :func:`run` of the process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
-        prog="dyncong",
-        description="Dynamic network congestion game solvers. Bound "
-        "comparisons are non-strict (cost <= bound).",
-    )
-    parser.add_argument("--format", choices=["json", "pretty"], default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and validate an arena file")
-    p.add_argument("--arena", required=True)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("so", help="social optimum")
-    _add_game_args(p)
-    p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(func=cmd_so)
-
-    p = sub.add_parser("blind-ne", help="blind Nash equilibrium by "
-                       "best-response iteration")
-    _add_game_args(p)
-    p.set_defaults(func=cmd_blind_ne)
-
-    p = sub.add_parser("eval", help="evaluate a blind profile")
-    _add_game_args(p)
-    p.add_argument("--profile", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("values", help="coalition punishment values")
-    _add_game_args(p)
-    p.set_defaults(func=cmd_values)
-
-    p = sub.add_parser("ne", help="gamma-optimal Nash equilibrium")
-    _add_game_args(p)
-    _add_gamma_args(p)
-    p.set_defaults(func=cmd_ne)
-
-    p = sub.add_parser("check-ne", help="is the outcome a Nash equilibrium")
-    _add_game_args(p)
-    p.add_argument("--outcome", required=True)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("spe", help="subgame-perfect equilibria")
-    _add_game_args(p)
-    _add_gamma_args(p)
-    p.add_argument("--exists", action="store_true")
-    p.add_argument("--dump-lambda", default=None, metavar="FILE")
-    p.set_defaults(func=cmd_spe)
-
-    p = sub.add_parser("check-spe", help="is the outcome subgame-perfect")
-    _add_game_args(p)
-    p.add_argument("--outcome", required=True)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("poa", help="price of anarchy")
-    _add_game_args(p)
-    p.set_defaults(func=cmd_ratio)
-
-    p = sub.add_parser("pos", help="price of stability")
-    _add_game_args(p)
-    p.set_defaults(func=cmd_ratio)
-
-    p = sub.add_parser("oracle", help="brute-force reference queries")
-    osub = p.add_subparsers(dest="oracle_cmd", required=True)
-
-    q = osub.add_parser("so")
-    _add_game_args(q)
-    q.add_argument("--max-steps", type=int, required=True)
-
-    q = osub.add_parser("br")
-    _add_game_args(q)
-    q.add_argument("--profile", required=True)
-    q.add_argument("--player", type=int, required=True, help="1-based index")
-    q.add_argument("--max-len", type=int, required=True)
-
-    q = osub.add_parser("values")
-    _add_game_args(q)
-    q.add_argument("--horizon", type=int, required=True)
-
-    q = osub.add_parser("ne-outcomes")
-    _add_game_args(q)
-    q.add_argument("--max-steps", type=int, required=True)
-
-    q = osub.add_parser("gen-partition")
-    q.add_argument("--family", required=True,
-                   help="comma-separated positive integers")
-    p.set_defaults(func=cmd_oracle)
-
-    return parser
+def _read_options(name: str, usage: str, argv: list, k: int, values: dict):
+    """Reads the options of ``usage`` from ``argv[k:]`` into ``values`` up
+    to the first word not starting with "-" and returns its index; on -h or
+    --help, prints the help of ``name``.  An option is its exact name or a
+    unique prefix among the options and --help; a value option takes
+    "=value" or else the next word, whatever it is."""
+    metavars = {}
+    for word in usage.split():
+        option, _, metavar = word.strip("[]").partition("=")
+        metavars[option] = metavar
+    names = [*metavars, "--help", "-h"]
+    while k < len(argv) and argv[k].startswith("-"):
+        word, glued, value = argv[k].partition("=")
+        matches = [word] if word in names else [
+            option for option in names
+            if word.startswith("--") and option.startswith(word)]
+        if len(matches) != 1:
+            raise InputError(
+                f"ambiguous option {word}: could be {', '.join(matches)}"
+                if matches else f"unknown option {word}")
+        option = matches[0]
+        if option in ("--help", "-h"):
+            print(_help(name), end="")
+            raise HelpShown
+        if not metavars[option]:
+            if glued:
+                raise InputError(f"{option} takes no value")
+            value = True
+        elif not glued:
+            if k + 1 == len(argv):
+                raise InputError(f"{option} needs a value")
+            k += 1
+            value = argv[k]
+        if metavars[option] == "N":
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"{option} wants an integer, not {value!r}")
+        values[option] = value
+        k += 1
+    return k
 
 
-def _glue_gamma(argv) -> list[str]:
-    """``--gamma -1,1`` as ``--gamma=-1,1``; argparse takes -1,1 for an
-    option.  Every abbreviation argparse accepts for ``--gamma`` is glued
-    too, ``--g`` on: no other option of ``ne`` or ``spe`` starts with
-    ``--g``."""
-    argv = list(argv)
-    for k in range(len(argv) - 2, -1, -1):
-        if (len(argv[k]) > 2 and "--gamma".startswith(argv[k])
-                and re.fullmatch(r"-\d.*", argv[k + 1])):
-            argv[k:k + 2] = ["--gamma=" + argv[k + 1]]
-    return argv
+def parse_args(argv):
+    """The command line read against :data:`COMMANDS`: a namespace of
+    ``command``, ``oracle_cmd`` (oracle only), ``format``, ``func`` and the
+    command's options by attribute name (``--max-len`` as ``max_len``), None
+    or False when absent; the last of a repeated option wins.  Raises
+    HelpShown after -h or --help and InputError on a line it cannot read."""
+    argv, values = list(argv), {"--format": "json"}
+    k = _read_options("", "[--format=FORMAT]", argv, 0, values)
+    form = values.pop("--format")
+    if form not in ("json", "pretty"):
+        raise InputError(f"--format must be json or pretty, not {form!r}")
+    if k == len(argv):
+        raise InputError("no command given; see dyncong --help")
+    name = argv[k]
+    if name == "oracle":  # no options of its own: -h, --help or a subcommand
+        k = _read_options(name, "", argv, k + 1, values)
+        name = f"oracle {argv[k]}" if k < len(argv) else name
+    if name not in COMMANDS:
+        raise InputError(f"unknown command {name!r}; see dyncong --help")
+    func, usage, _ = COMMANDS[name]
+    k = _read_options(name, usage, argv, k + 1, values)
+    if k < len(argv):
+        raise InputError(f"unexpected argument {argv[k]!r}")
+    command, _, sub = name.partition(" ")
+    args = SimpleNamespace(command=command, format=form, func=func)
+    if sub:
+        args.oracle_cmd = sub
+    for word in usage.split():
+        option, _, metavar = word.strip("[]").partition("=")
+        if option not in values and not word.startswith("["):
+            raise InputError(f"{name} needs {option}")
+        setattr(args, option[2:].replace("-", "_"),
+                values.get(option, None if metavar else False))
+    return args
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_glue_gamma(argv))
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    started = time.perf_counter()
-    try:
+        args = parse_args(argv)
+        started = time.perf_counter()
         code = args.func(args)
     except (InputError, ArenaError, CostFunctionError, SemanticsError,
-            StrategyError) as exc:
+            StrategyError, BudgetExceeded) as exc:
         print(f"dyncong: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetExceeded as exc:
-        print(f"dyncong: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_INPUT
+    except HelpShown:
+        return EXIT_OK
     elapsed = (time.perf_counter() - started) * 1000
     print(f"[dyncong] {args.command}: {elapsed:.1f} ms", file=sys.stderr)
     return code

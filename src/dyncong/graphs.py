@@ -90,10 +90,13 @@ class GameView:
     ``edge_id`` (index in ``arena.edge_list``), per edge ``cost[e] = (d_e(1),
     ..., d_e(n))``, per state ``out[v]``, its ``(successor, edge id, cost
     row)`` in ``arena.out`` order, and ``dist1`` (:func:`target_distances`).
+    Solvers read them first, so ``n * |E|`` past the node budget stops here.
     """
 
     def __init__(self, game: Game):
         arena = game.arena
+        if game.n * len(arena.edge_list) > node_budget():
+            raise BudgetExceeded("game cost tables above node budget")
         self.edge_id = {edge: k for k, edge in enumerate(arena.edge_list)}
         self.cost = [
             tuple(arena.edges[edge](load) for load in range(1, game.n + 1))

@@ -131,6 +131,7 @@ def compute_values(game: Game) -> ValueTable:
     tgt = arena.tgt
     ceiling = num_states * kappa(game)
     budget = node_budget()
+    out, edges = game.view.out, arena.edge_list
 
     all_counts: list[tuple[int, ...]] = []
     for counts in _coalition_states(game):
@@ -140,7 +141,6 @@ def compute_values(game: Game) -> ValueTable:
     count_index = {counts: ci for ci, counts in enumerate(all_counts)}
     total = len(all_counts) * num_states
 
-    out, edges = game.view.out, arena.edge_list
     # Per coalition state: (per-edge coalition loads, successor id base) for
     # each coalition distribution, the product over the occupied states of
     # the ways to spread their players over their out-edges, each spread

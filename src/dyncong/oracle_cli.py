@@ -74,15 +74,13 @@ def cmd_oracle(args):
         _emit_values("oracle values", game.arena,
                      brute_values(game, args.horizon), args)
         return EXIT_OK
-    if args.oracle_cmd == "ne-outcomes":
-        outcomes = brute_ne_outcomes(game, args.max_steps)
-        _emit(
-            {
-                "command": "oracle ne-outcomes",
-                "count": len(outcomes),
-                "outcomes": [p.to_json(game.arena) for p in outcomes],
-            },
-            args,
-        )
-        return EXIT_OK
-    raise InputError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+    outcomes = brute_ne_outcomes(game, args.max_steps)  # ne-outcomes
+    _emit(
+        {
+            "command": "oracle ne-outcomes",
+            "count": len(outcomes),
+            "outcomes": [p.to_json(game.arena) for p in outcomes],
+        },
+        args,
+    )
+    return EXIT_OK

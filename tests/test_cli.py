@@ -340,31 +340,46 @@ sys.exit(code if time.perf_counter() - started < 1 else 99)
 """
 
 
+def _run_capped(*argv):
+    """``run(argv)`` in a child under ``_CAPPED_CHILD``, default budget."""
+    from pathlib import Path
+
+    env = dict(os.environ)
+    env.pop("DYNCONG_NODE_BUDGET", None)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_so_on_crowded_partition_gadget_exits_on_budget(tmp_path):
     # Family (1, ..., 8) gives 52 players, whose first step from src has
     # C(59, 7), about 3.4e8, compositions over its 8 out-edges: more than
     # the default budget of 10**7, so the options list is never built.
-    from pathlib import Path
-
     from dyncong.oracle import gen_partition_arena
 
     game, _ = gen_partition_arena(range(1, 9))
     assert game.n == 52
     arena = tmp_path / "partition.json"
     arena.write_text(serialize_arena(game.arena))
-    env = dict(os.environ)
-    env.pop("DYNCONG_NODE_BUDGET", None)
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_CHILD, "so", "--arena", str(arena),
-         "--players", "52"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_capped("so", "--arena", str(arena), "--players", "52")
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert proc.stdout == ""
     assert proc.stderr == (
         "dyncong: social-optimum step options exceeded 10000000 entries\n"
     )
+
+
+@pytest.mark.parametrize("command", [
+    ["so"], ["blind-ne"], ["values"], ["ne", "--best"], ["spe", "--best"],
+])
+def test_huge_player_count_exits_on_budget(fig1_file, command):
+    # 10**20 players times fig1's edges is past the default budget, so the
+    # game's cost tables are refused before any per-player tuple is built:
+    # no OverflowError, MemoryError or endless search.
+    proc = _run_capped(*command, "--arena", fig1_file,
+                       "--players", str(10 ** 20))
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr[-2000:]
+    assert proc.stderr == "dyncong: game cost tables above node budget\n"
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "-5", "0"])
@@ -631,8 +646,9 @@ def test_bench_nash_stdout_bytes_pinned(capsys, tmp_path, fig5_file):
 
 
 def test_gamma_with_a_negative_first_weight(capsys, tmp_path):
-    # argparse reads "-1,1" alone as an option name; a separate gamma value
-    # must still parse, and print what the "=" form prints.
+    # A value option takes the next word whatever it starts with, so a
+    # separate gamma value with a negative first weight prints what the "="
+    # form prints.
     grid4 = tmp_path / "grid4.json"
     grid4.write_text(serialize_arena(grid_arena(4)))
     game = ("--arena", str(grid4), "--players", "2")
@@ -646,9 +662,9 @@ def test_gamma_with_a_negative_first_weight(capsys, tmp_path):
 
 
 def test_gamma_abbreviations_with_a_negative_first_weight(capsys, tmp_path):
-    # argparse accepts every prefix of --gamma from --g on, since no other
-    # option of ne or spe starts with --g; each must take a negative first
-    # weight as a separate value, as --gamma does.
+    # Every prefix of --gamma from --g on is unique among the options of ne
+    # and spe; each must take a negative first weight as a separate value,
+    # as --gamma does.
     grid4 = tmp_path / "grid4.json"
     grid4.write_text(serialize_arena(grid_arena(4)))
     game = ("--arena", str(grid4), "--players", "2")
@@ -987,6 +1003,45 @@ def test_eval_bad_profile_move(capsys, tmp_path, fig1_file, entry):
     assert code == 2
     assert out == ""
     assert err.startswith("dyncong: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ne", "--arena", "@fig1"],  # a missing required option
+    ["so", "--arena", "@fig1", "--players", "2", "--gamma", "1,1"],  # unknown
+    ["ne", "--arena", "@fig1", "--players", "2", "--b", "1"],  # ambiguous
+    ["ne", "--arena", "@fig1", "--players", "2", "--bound", "x"],  # not an int
+    ["so", "--arena", "@fig1", "--players"],  # a value missing at the end
+    ["spe", "--arena", "@fig1", "--players", "2", "--best=1"],  # flag=value
+    ["frob", "--arena", "@fig1", "--players", "2"],  # an unknown command
+    ["--format", "pretty"],  # no command
+    ["oracle", "frob", "--arena", "@fig1", "--players", "2"],  # unknown sub
+    ["--format", "xml", "so", "--arena", "@fig1", "--players", "2"],
+    ["so", "--arena", "@fig1", "--players", "2", "extra"],  # a stray word
+], ids=["missing", "unknown-option", "ambiguous", "non-int", "no-value",
+        "flag-value", "unknown-command", "no-command", "unknown-oracle",
+        "bad-format", "stray-word"])
+def test_malformed_command_line_gets_one_line(capsys, fig1_file, argv):
+    code, out, err = invoke_raw(
+        capsys, *[fig1_file if arg == "@fig1" else arg for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("dyncong: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--arena", "--outcome", "--profile"])
+def test_input_file_that_is_not_utf8_gets_one_line(capsys, tmp_path,
+                                                   fig1_file, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    argv = {
+        "--arena": ["validate", "--arena", str(bad)],
+        "--outcome": ["check-ne", "--arena", fig1_file, "--players", "2",
+                      "--outcome", str(bad)],
+        "--profile": ["eval", "--arena", fig1_file, "--players", "2",
+                      "--profile", str(bad)],
+    }[flag]
+    code, out, err = invoke_raw(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("dyncong: cannot read ") and err.count("\n") == 1, err
 
 
 def _two_state_arena():

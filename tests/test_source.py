@@ -119,3 +119,74 @@ def test_only_spe_commands_import_the_spe_solver(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(arena)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_query_loads_no_argument_parser(tmp_path):
+    # The command line is read from ``cli.COMMANDS``; argparse with the
+    # gettext and locale modules it loads cost about 6 ms a query.  A fresh
+    # interpreter, since the test session has them loaded.
+    arena = tmp_path / "fig1.json"
+    arena.write_text(serialize_arena(fig1_arena()))
+    script = (
+        "import contextlib, io, sys\n"
+        "from dyncong.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert run(['so', '--arena', sys.argv[1], '--players', '2']) == 0\n"
+        "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dyncong.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(arena)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+PROGRAM_HELP = """\
+usage: dyncong [--format json|pretty] COMMAND [OPTIONS]
+
+Dynamic network congestion game solvers. Bound comparisons are non-strict (cost <= bound).
+An option may be shortened to a unique prefix; dyncong COMMAND --help lists its options.
+
+commands:
+  validate              parse and validate an arena file
+  so                    social optimum
+  blind-ne              blind Nash equilibrium by best-response iteration
+  eval                  evaluate a blind profile
+  values                coalition punishment values
+  ne                    gamma-optimal Nash equilibrium
+  check-ne              is the outcome a Nash equilibrium
+  spe                   subgame-perfect equilibria
+  check-spe             is the outcome subgame-perfect
+  poa                   price of anarchy
+  pos                   price of stability
+  oracle so             brute-force social optimum
+  oracle br             brute-force best response of the 1-based --player
+  oracle values         brute-force coalition punishment values
+  oracle ne-outcomes    brute-force Nash equilibrium outcomes
+  oracle gen-partition  partition gadget of positive integers K
+"""
+
+SPE_HELP = """\
+usage: dyncong spe --arena FILE --players N [--gamma W,...] [--best] [--worst] [--bound N] [--exists] [--dump-lambda FILE]
+
+subgame-perfect equilibria
+"""
+
+
+def test_help_text_is_built_from_the_command_table(capsys):
+    from dyncong.cli import COMMANDS, run
+
+    for argv, text in [
+        (["--help"], PROGRAM_HELP),
+        (["-h"], PROGRAM_HELP),
+        (["--format", "pretty", "--he"], PROGRAM_HELP),
+        (["oracle", "-h"], PROGRAM_HELP),
+        (["spe", "--help"], SPE_HELP),
+        (["spe", "--arena", "x", "--h"], SPE_HELP),
+    ]:
+        assert run(argv) == 0
+        assert capsys.readouterr() == (text, ""), argv
+    listed = [line.split("  ")[1] for line in PROGRAM_HELP.splitlines()
+              if line.startswith("  ")]
+    assert listed == list(COMMANDS)
