@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 
-from .costfn import ZERO, CostFunction, CostFunctionError, validate_pieces
+from .costfn import ZERO, CostFunction, CostFunctionError, Record, validate_pieces
 
 
 class ArenaError(ValueError):
     """Raised for syntactically or structurally invalid arenas."""
 
 
-@dataclass(frozen=True)
-class Arena:
+class Arena(Record):
     """States, edges, source and target.
 
     States are kept in file declaration order, which is the canonical order
@@ -31,12 +29,19 @@ class Arena:
     edge declaration order.
     """
 
-    states: tuple[str, ...]
-    edges: dict[tuple[int, int], CostFunction]
-    edge_list: tuple[tuple[int, int], ...]
-    out: tuple[tuple[tuple[int, CostFunction], ...], ...]
-    src: int
-    tgt: int
+    _fields = ("states", "edges", "edge_list", "out", "src", "tgt")
+
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        edges: dict[tuple[int, int], CostFunction],
+        edge_list: tuple[tuple[int, int], ...],
+        out: tuple[tuple[tuple[int, CostFunction], ...], ...],
+        src: int,
+        tgt: int,
+    ):
+        self.states, self.edges, self.edge_list = states, edges, edge_list
+        self.out, self.src, self.tgt = out, src, tgt
 
     def index(self, name: str) -> int:
         try:
@@ -62,16 +67,13 @@ class Arena:
         return hops
 
 
-@dataclass(frozen=True)
 class Game:
     """An arena played by ``n`` players, all routing src -> tgt."""
 
-    arena: Arena
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ArenaError(f"player count must be >= 1, got {self.n}")
+    def __init__(self, arena: Arena, n: int):
+        if n < 1:
+            raise ArenaError(f"player count must be >= 1, got {n}")
+        self.arena, self.n = arena, n
 
     @functools.cached_property
     def view(self):
@@ -191,7 +193,7 @@ def parse_arena(text: str) -> Arena:
     """Parses the JSON arena format into a validated :class:`Arena`."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ArenaError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ArenaError("arena file must contain a JSON object")

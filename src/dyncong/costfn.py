@@ -2,15 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class CostFunctionError(ValueError):
     """Raised for malformed piece lists or out-of-domain evaluation."""
 
 
-@dataclass(frozen=True)
-class CostFunction:
+class Record:
+    """A value record: ``==`` and ``hash`` read the tuple of the attributes
+    that ``_fields`` names, so hashing fails where one is unhashable (an
+    arena's edge map).  A plain class, since ``dataclasses`` would cost
+    every process its import of ``inspect``, ``ast`` and ``dis``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class CostFunction(Record):
     """Maps a positive load to a natural cost.
 
     ``pieces`` is a tuple of ``(from_load, slope, intercept)`` triples; piece k
@@ -19,7 +36,10 @@ class CostFunction:
     Construct through :func:`validate_pieces` so the invariants hold.
     """
 
-    pieces: tuple[tuple[int, int, int], ...]
+    _fields = ("pieces",)
+
+    def __init__(self, pieces: tuple[tuple[int, int, int], ...]):
+        self.pieces = pieces
 
     def __call__(self, load: int) -> int:
         if load < 1:

@@ -12,10 +12,11 @@ smallest sequence of edge declaration indices.
 
 from __future__ import annotations
 
+import functools
 import heapq
-from dataclasses import dataclass
 
 from .arena import Arena, Game
+from .costfn import Record
 from .graphs import Edge, eval_path
 
 
@@ -23,11 +24,13 @@ class StrategyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BlindStrategy:
+class BlindStrategy(Record):
     """A path from the source to the target, as a tuple of edges."""
 
-    edges: tuple[Edge, ...]
+    _fields = ("edges",)
+
+    def __init__(self, edges: tuple[Edge, ...]):
+        self.edges = edges
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -64,13 +67,24 @@ def strategy_from_states(arena: Arena, names) -> BlindStrategy:
     return blind_strategy(arena, list(zip(idx, idx[1:])))
 
 
-@dataclass(frozen=True)
-class BlindProfile:
-    strategies: tuple[BlindStrategy, ...]
+class BlindProfile(Record):
+    _fields = ("strategies",)
+
+    def __init__(self, strategies: tuple[BlindStrategy, ...]):
+        self.strategies = strategies
 
     @property
     def horizon(self) -> int:
         return max(len(s) for s in self.strategies)
+
+    @functools.cached_property
+    def loads(self) -> list[dict[Edge, int]]:
+        """Per step, each edge's load over all players, built on first use."""
+        loads: list[dict[Edge, int]] = [{} for _ in range(self.horizon)]
+        for strategy in self.strategies:
+            for layer, edge in zip(loads, strategy.edges):
+                layer[edge] = layer.get(edge, 0) + 1
+        return loads
 
     def replace(self, player: int, strategy: BlindStrategy) -> "BlindProfile":
         updated = list(self.strategies)
@@ -98,35 +112,25 @@ def play_profile(game: Game, profile: BlindProfile):
     return eval_path(game, profile_moves(game, profile))
 
 
-def loads_at(profile: BlindProfile, j: int, skip=None) -> dict[Edge, int]:
-    """Edge loads at (1-based) step j, optionally ignoring one player."""
-    loads: dict[Edge, int] = {}
-    for i, strategy in enumerate(profile.strategies):
-        if i == skip or j > len(strategy):
-            continue
-        edge = strategy.edges[j - 1]
-        loads[edge] = loads.get(edge, 0) + 1
-    return loads
-
-
 def potential(game: Game, profile: BlindProfile) -> int:
     """Rosenthal-style potential: per step and edge, the cost of stacking the
     edge's users one by one."""
     view = game.view
     total = 0
-    for j in range(1, profile.horizon + 1):
-        for edge, load in loads_at(profile, j).items():
+    for layer in profile.loads:
+        for edge, load in layer.items():
             total += sum(view.cost[view.edge_id[edge]][:load])
     return total
 
 
-def _layered_search(game: Game, loads: list[dict[Edge, int]]):
+def _layered_search(game: Game, loads: list[dict[Edge, int]], own=()):
     """Cheapest strategy and its cost in a layered graph: one arena copy per
-    entry of ``loads``, in which an edge costs ``d(load + 1)``, then a final
-    copy with single-user costs.  Edge ids, cost rows and ``dist1`` come
-    from the game's tables (``Game.view``); each layer's charged weights are
-    read once per call, for its loaded edges only; ties break as the module
-    says.
+    entry of ``loads``, in which an edge costs ``d(load + 1)``, or
+    ``d(load)`` on the searching player's own edge ``own[j]`` of that step
+    (their load is in the count), then a final copy with single-user costs.
+    Edge ids, cost rows and ``dist1`` come from the game's tables
+    (``Game.view``); each layer's charged weights are read once per call,
+    for its loaded edges only; ties break as the module says.
 
     The search is A* under the load-one distance h = ``dist1`` with heap
     key ``(g + h(state), length, trail)``, and it returns the path that
@@ -145,8 +149,9 @@ def _layered_search(game: Game, loads: list[dict[Edge, int]]):
     horizon = len(loads)
     edge_id, rows, dist = view.edge_id, view.cost, view.dist1
     layers = [
-        {edge_id[e]: rows[edge_id[e]][load] for e, load in layer.items()}
-        for layer in loads
+        {edge_id[e]: rows[edge_id[e]][load - (j < len(own) and e == own[j])]
+         for e, load in layer.items()}
+        for j, layer in enumerate(loads)
     ] + [{}]
     heap = [(dist[arena.src], 0, (), 0, arena.src, 0)]
     done = set()
@@ -175,14 +180,12 @@ def best_response(game: Game, profile: BlindProfile, player: int):
     """Cheapest blind strategy for ``player`` with the others' paths fixed.
 
     The layered graph has one copy per step up to the profile horizon,
-    charged with the other players' loads at that step, then a copy for the
-    steps after everyone else has finished.  The result never needs more
-    than ``horizon + |V|`` edges.
+    charged with the other players' loads at that step (the profile's load
+    table less the player's own edge), then a copy for the steps after
+    everyone else has finished.  The result never needs more than
+    ``horizon + |V|`` edges.
     """
-    loads = [
-        loads_at(profile, j, skip=player) for j in range(1, profile.horizon + 1)
-    ]
-    return _layered_search(game, loads)
+    return _layered_search(game, profile.loads, profile.strategies[player].edges)
 
 
 def single_player_shortest(arena: Arena) -> BlindStrategy:

@@ -13,9 +13,9 @@ import heapq
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 from .arena import Arena, Game
+from .costfn import Record
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -149,12 +149,17 @@ def step(game: Game, config: Config, moves: MoveVector):
     return tuple(weights), tuple(nxt)
 
 
-@dataclass(frozen=True)
-class OutcomePath:
+class OutcomePath(Record):
     """A finite play: a start configuration and chained weighted joint steps."""
 
-    start: Config
-    steps: tuple[tuple[MoveVector, tuple[int, ...], Config], ...]
+    _fields = ("start", "steps")
+
+    def __init__(
+        self,
+        start: Config,
+        steps: tuple[tuple[MoveVector, tuple[int, ...], Config], ...],
+    ):
+        self.start, self.steps = start, steps
 
     def configs(self) -> list[Config]:
         return [self.start] + [nxt for _, _, nxt in self.steps]
@@ -304,12 +309,15 @@ def dev_set(game: Game, config: Config, nxt: Config, player: int):
     return result
 
 
-@dataclass
 class ReachableGraph:
     """Configurations reachable from the initial one, with their transitions."""
 
-    configs: list[Config]
-    transitions: dict[Config, list[tuple[Config, tuple[int, ...]]]]
+    def __init__(
+        self,
+        configs: list[Config],
+        transitions: dict[Config, list[tuple[Config, tuple[int, ...]]]],
+    ):
+        self.configs, self.transitions = configs, transitions
 
     def successors(self, config: Config):
         return self.transitions[config]

@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 
 from .arena import Game
 from .costfn import kappa
@@ -63,7 +62,6 @@ from .socopt import social_optimum
 ValueState = tuple[int, tuple[int, ...]]  # (own state, coalition counts)
 
 
-@dataclass(frozen=True)
 class ValueTable:
     """Fixpoint values of the punish-one-player zero-sum game.
 
@@ -72,8 +70,8 @@ class ValueTable:
     kappa``, an upper bound on every value.
     """
 
-    values: dict[ValueState, int]
-    ceiling: int
+    def __init__(self, values: dict[ValueState, int], ceiling: int):
+        self.values, self.ceiling = values, ceiling
 
 
 def _coalition_states(game: Game):

@@ -51,7 +51,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 from .arena import Game
 from .graphs import (
@@ -67,10 +66,9 @@ from .graphs import (
 from .outcome import lift_abstract_path
 
 
-@dataclass(frozen=True)
 class SocialOptimum:
-    cost: int
-    witness: OutcomePath
+    def __init__(self, cost: int, witness: OutcomePath):
+        self.cost, self.witness = cost, witness
 
 
 class SuccessorFold:

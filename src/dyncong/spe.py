@@ -23,7 +23,6 @@ fixpoint are bounded by ``|V| * kappa``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .arena import Game
@@ -301,15 +300,19 @@ class CounterExploration:
         }
 
 
-@dataclass
 class LambdaResult:
     """Fixpoint labels plus the per-region iteration counts, for the
     stabilisation-bound checks."""
 
-    labels: LabelTable
-    graph: ReachableGraph
-    region_iterations: dict[int, int] = field(default_factory=dict)
-    ceiling: int = 0
+    def __init__(
+        self,
+        labels: LabelTable,
+        graph: ReachableGraph,
+        region_iterations: dict[int, int] | None = None,
+        ceiling: int = 0,
+    ):
+        self.labels, self.graph, self.ceiling = labels, graph, ceiling
+        self.region_iterations = {} if region_iterations is None else region_iterations
 
 
 def _mu_bound(game: Game, k: int, kap: int) -> int:

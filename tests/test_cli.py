@@ -1027,21 +1027,36 @@ def test_malformed_command_line_gets_one_line(capsys, fig1_file, argv):
     assert err.startswith("dyncong: ") and err.count("\n") == 1, err
 
 
+def _reading(flag, fig1_file, path):
+    """A command line that reads ``path`` as the file of ``flag``."""
+    return {
+        "--arena": ["validate", "--arena", str(path)],
+        "--outcome": ["check-ne", "--arena", fig1_file, "--players", "2",
+                      "--outcome", str(path)],
+        "--profile": ["eval", "--arena", fig1_file, "--players", "2",
+                      "--profile", str(path)],
+    }[flag]
+
+
 @pytest.mark.parametrize("flag", ["--arena", "--outcome", "--profile"])
 def test_input_file_that_is_not_utf8_gets_one_line(capsys, tmp_path,
                                                    fig1_file, flag):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe")
-    argv = {
-        "--arena": ["validate", "--arena", str(bad)],
-        "--outcome": ["check-ne", "--arena", fig1_file, "--players", "2",
-                      "--outcome", str(bad)],
-        "--profile": ["eval", "--arena", fig1_file, "--players", "2",
-                      "--profile", str(bad)],
-    }[flag]
-    code, out, err = invoke_raw(capsys, *argv)
+    code, out, err = invoke_raw(capsys, *_reading(flag, fig1_file, bad))
     assert (code, out) == (2, "")
     assert err.startswith("dyncong: cannot read ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--arena", "--outcome", "--profile"])
+def test_deeply_nested_input_file_gets_one_line(capsys, tmp_path,
+                                                fig1_file, flag):
+    # The JSON decoder recurses once per nesting level.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = invoke_raw(capsys, *_reading(flag, fig1_file, deep))
+    assert (code, out) == (2, "")
+    assert err.startswith("dyncong: ") and err.count("\n") == 1, err
 
 
 def _two_state_arena():

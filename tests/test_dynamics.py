@@ -12,7 +12,6 @@ from dyncong.dynamics import (
     blind_ne,
     blind_strategy,
     is_blind_ne,
-    loads_at,
     play_profile,
     potential,
     single_player_shortest,
@@ -156,19 +155,25 @@ def test_blind_ne_terminates_within_potential(corpus):
 
 
 def _reference_best_response(game, profile, player):
-    """The layered Dijkstra that ``best_response`` replaced, kept verbatim
-    as the reference for its strategy and cost."""
+    """The layered Dijkstra that ``best_response`` replaced, kept as the
+    reference for its strategy and cost; it counts the other players' loads
+    per step itself, not from the profile's load table."""
     arena = game.arena
     if arena.src == arena.tgt:
         return blind_strategy(arena, ((arena.tgt, arena.tgt),)), 0
     horizon = profile.horizon
     order = {edge: k for k, edge in enumerate(arena.edge_list)}
+    others = [{} for _ in range(horizon)]
+    for i, strategy in enumerate(profile.strategies):
+        if i != player:
+            for loads, edge in zip(others, strategy.edges):
+                loads[edge] = loads.get(edge, 0) + 1
 
     def out_edges(state: int, layer: int):
         for succ, fn in arena.out[state]:
             edge = (state, succ)
             if layer <= horizon:
-                load = loads_at(profile, layer, skip=player).get(edge, 0)
+                load = others[layer - 1].get(edge, 0)
                 weight = fn(load + 1)
             else:
                 weight = fn(1)

@@ -96,12 +96,46 @@ def test_every_module_import_is_used():
             assert _unused_imports(ast.parse(path.read_text())) == [], path.name
 
 
+# Every module-level import of another package in ``src/dyncong``.  Each
+# query runs in a fresh interpreter and pays for what the package imports:
+# ``dataclasses`` alone loaded ``inspect``, ``ast``, ``dis`` and ``tokenize``
+# (about 8 ms and 1 MB a process), so a module joins this list only with its
+# measured import cost.  Imports inside functions are left out.
+STDLIB_ALLOWED = {
+    "__future__", "functools", "heapq", "itertools", "json", "math", "os",
+    "sys", "time", "types",
+}
+
+
+def test_module_level_imports_come_from_the_allowlist():
+    for path in sorted(Path(dyncong.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "dyncong" or top in STDLIB_ALLOWED, (path.name, name)
+
+
+def _run_fresh(script, tmp_path):
+    """Runs ``script`` in a fresh interpreter, since the test session has
+    every module loaded, with the fig1 arena file as its argument."""
+    arena = tmp_path / "fig1.json"
+    arena.write_text(serialize_arena(fig1_arena()))
+    env = {**os.environ, "PYTHONPATH": str(Path(dyncong.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(arena)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_only_spe_commands_import_the_spe_solver(tmp_path):
     # Every command compiles the modules it imports, so the package and the
     # CLI import ``spe`` on first use; its names stay reachable from the
-    # package.  A fresh interpreter, since the test session imported it.
-    arena = tmp_path / "fig1.json"
-    arena.write_text(serialize_arena(fig1_arena()))
+    # package.
     script = (
         "import contextlib, io, sys\n"
         "import dyncong\n"
@@ -115,18 +149,12 @@ def test_only_spe_commands_import_the_spe_solver(tmp_path):
         "assert 'dyncong.spe' in sys.modules\n"
         "assert dyncong.spe_exists is sys.modules['dyncong.spe'].spe_exists\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dyncong.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script, str(arena)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(script, tmp_path)
 
 
 def test_a_query_loads_no_argument_parser(tmp_path):
     # The command line is read from ``cli.COMMANDS``; argparse with the
-    # gettext and locale modules it loads cost about 6 ms a query.  A fresh
-    # interpreter, since the test session has them loaded.
-    arena = tmp_path / "fig1.json"
-    arena.write_text(serialize_arena(fig1_arena()))
+    # gettext and locale modules it loads cost about 6 ms a query.
     script = (
         "import contextlib, io, sys\n"
         "from dyncong.cli import run\n"
@@ -136,10 +164,28 @@ def test_a_query_loads_no_argument_parser(tmp_path):
         "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
         "assert not loaded, loaded\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(dyncong.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script, str(arena)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(script, tmp_path)
+
+
+def test_queries_load_no_dataclasses_or_inspect(tmp_path):
+    # The records are plain classes: ``dataclasses`` loads ``inspect``,
+    # ``ast`` and ``dis``, about 8 ms and 1 MB a query.  ``spe`` is
+    # imported on first use, so an SPE query runs too.
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import contextlib, io\n"
+        "from dyncong.cli import run\n"
+        "argv = ['--arena', sys.argv[1], '--players', '2']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        for query in (['so'], ['blind-ne'], ['values'], ['spe', '--best']):\n"
+        "            assert run([*query, *argv]) == 0, query\n"
+        "assert 'dyncong.spe' in sys.modules\n"
+        "loaded = {'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules) - bare\n"
+        "assert not loaded, loaded\n"
+    )
+    _run_fresh(script, tmp_path)
 
 
 PROGRAM_HELP = """\
