@@ -43,10 +43,15 @@ class Arena(Record):
         self.states, self.edges, self.edge_list = states, edges, edge_list
         self.out, self.src, self.tgt = out, src, tgt
 
+    @functools.cached_property
+    def names(self) -> dict[str, int]:
+        """State name -> index, built on first use."""
+        return {name: k for k, name in enumerate(self.states)}
+
     def index(self, name: str) -> int:
         try:
-            return self.states.index(name)
-        except ValueError:
+            return self.names[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ArenaError(f"unknown state {name!r}") from None
 
     @functools.cached_property
@@ -124,6 +129,7 @@ def build_arena(states, edges, src, tgt) -> Arena:
         src=index[src],
         tgt=tgt_i,
     )
+    arena.names = index
     violations = validate_arena(arena)
     if violations:
         raise ArenaError("; ".join(violations))

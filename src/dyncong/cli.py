@@ -77,14 +77,15 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _gamma_flags(args) -> list[str]:
-    given = {"--best": args.best, "--worst": args.worst,
-             "--gamma": args.gamma is not None}
-    return [name for name, flag in given.items() if flag]
-
-
 def _parse_gamma(args, n: int):
-    chosen = _gamma_flags(args)
+    """The gamma of ``--best``, ``--worst`` or ``--gamma``, all ones when
+    none is given; ``spe --exists`` searches all ones, so it also refuses
+    ``--bound``."""
+    exists = getattr(args, "exists", False)
+    given = {"--exists": exists, "--best": args.best, "--worst": args.worst,
+             "--gamma": args.gamma is not None,
+             "--bound": exists and args.bound is not None}
+    chosen = [name for name, flag in given.items() if flag]
     if len(chosen) > 1:
         raise InputError(f"{' and '.join(chosen)} are mutually exclusive")
     if args.worst:
@@ -108,10 +109,6 @@ def _jsonable(value):
     return value
 
 
-def _emit(payload, args) -> None:
-    print(json.dumps(payload, indent=2 if args.format == "pretty" else None))
-
-
 def _profile_from_json(game: Game, data) -> BlindProfile:
     if not isinstance(data, dict) or not isinstance(data.get("profile"), list):
         raise InputError("profile file must contain {'profile': [...]}")
@@ -128,14 +125,8 @@ def _profile_from_json(game: Game, data) -> BlindProfile:
 
 def cmd_validate(args):
     arena = _load_arena(args.arena)
-    payload = {
-        "command": "validate",
-        "ok": True,
-        "states": len(arena.states),
-        "edges": len(arena.edges),
-    }
-    _emit(payload, args)
-    return EXIT_OK
+    return {"command": "validate", "ok": True, "states": len(arena.states),
+            "edges": len(arena.edges)}
 
 
 def cmd_so(args):
@@ -151,48 +142,44 @@ def cmd_so(args):
         assert social == result.cost
         payload["cost"] = result.cost
         payload["witness"] = result.witness.to_json(game.arena)
-    _emit(payload, args)
-    return EXIT_OK if satisfied else EXIT_NO
+    return payload
+
+
+def _played(payload, game: Game, profile: BlindProfile):
+    """Appends the costs, social cost and potential of ``profile`` to
+    ``payload`` and returns its outcome."""
+    costs, social, path = play_profile(game, profile)
+    payload.update(costs=[_jsonable(c) for c in costs],
+                   social=_jsonable(social), potential=potential(game, profile))
+    return path
 
 
 def cmd_blind_ne(args):
     game = _load_game(args)
     profile, swaps = blind_ne(game)
-    costs, social, path = play_profile(game, profile)
     assert is_blind_ne(game, profile)
-    payload = {
-        "command": "blind-ne",
-        "profile": [s.to_names(game.arena) for s in profile.strategies],
-        "costs": [_jsonable(c) for c in costs],
-        "social": _jsonable(social),
-        "potential": potential(game, profile),
-        "improvement_steps": swaps,
-    }
-    _emit(payload, args)
-    return EXIT_OK
+    payload = {"command": "blind-ne",
+               "profile": [s.to_names(game.arena) for s in profile.strategies]}
+    _played(payload, game, profile)
+    payload["improvement_steps"] = swaps
+    return payload
 
 
 def cmd_eval(args):
     game = _load_game(args)
     profile = _profile_from_json(game, _load_json(args.profile))
-    costs, social, path = play_profile(game, profile)
-    payload = {
-        "command": "eval",
-        "costs": [_jsonable(c) for c in costs],
-        "social": _jsonable(social),
-        "potential": potential(game, profile),
-        "is_blind_ne": is_blind_ne(game, profile),
-        "outcome": path.to_json(game.arena),
-    }
-    _emit(payload, args)
-    return EXIT_OK
+    payload = {"command": "eval"}
+    path = _played(payload, game, profile)
+    payload.update(is_blind_ne=is_blind_ne(game, profile),
+                   outcome=path.to_json(game.arena))
+    return payload
 
 
 def _emit_values(command: str, arena: Arena, values: dict, args) -> None:
     """Emits ``{"command": command, "values": [...]}``, entries in key
-    order, byte for byte as :func:`_emit` would, from text pieces: the text
-    around an entry's fields is cut out of one dump with two placeholder
-    entries, and each state, coalition and distinct value is dumped once
+    order, byte for byte as :func:`run` prints a payload, from text pieces:
+    the text around an entry's fields is cut out of one dump with two
+    placeholder entries, and each state, coalition and distinct value is dumped once
     (a coalition re-indented to its depth).  Chunks of 1,024 entries are
     written as they are joined, so the whole table is never one string."""
     indent = 2 if args.format == "pretty" else None
@@ -225,13 +212,11 @@ def _emit_values(command: str, arena: Arena, values: dict, args) -> None:
 def cmd_values(args):
     game = _load_game(args)
     _emit_values("values", game.arena, compute_values(game).values, args)
-    return EXIT_OK
 
 
-def _emit_optimum(payload, args, game: Game, gamma, cost, witness):
+def _optimum(payload, args, game: Game, gamma, cost, witness):
     """Appends gamma, cost, social cost and witness to ``payload``, plus the
-    ``--bound`` verdict when one is given; emits it and returns the exit
-    code."""
+    ``--bound`` verdict when one is given, and returns it."""
     _, social, _ = eval_path(game, [m for m, _, _ in witness.steps])
     payload.update({
         "gamma": list(gamma),
@@ -239,35 +224,26 @@ def _emit_optimum(payload, args, game: Game, gamma, cost, witness):
         "social": _jsonable(social),
         "witness": witness.to_json(game.arena),
     })
-    satisfied = args.bound is None or cost <= args.bound
     if args.bound is not None:
-        payload["satisfied"] = satisfied
-    _emit(payload, args)
-    return EXIT_OK if satisfied else EXIT_NO
+        payload["satisfied"] = cost <= args.bound
+    return payload
 
 
 def cmd_ne(args):
     game = _load_game(args)
     gamma = _parse_gamma(args, game.n)
     cost, witness = gamma_min_ne(game, gamma)
-    return _emit_optimum({"command": "ne"}, args, game, gamma, cost, witness)
+    return _optimum({"command": "ne"}, args, game, gamma, cost, witness)
 
 
 def cmd_spe(args):
     game = _load_game(args)
-    if args.exists:
-        chosen = _gamma_flags(args) + ["--bound"] * (args.bound is not None)
-        if chosen:
-            raise InputError(
-                f"{' and '.join(['--exists', *chosen])} are mutually exclusive"
-            )
-    else:
-        gamma = _parse_gamma(args, game.n)
+    gamma = _parse_gamma(args, game.n)
     # Imported here, like ``oracle_cli``: only ``spe`` and ``check-spe`` use
     # the SPE solver, and compiling it for every other command raised the
     # peak resident memory of `ne --worst` on grid4 n=2 by about 0.15 MB
     # (bench/child.py).
-    from .spe import compute_lambda, gamma_min_spe, spe_exists
+    from .spe import compute_lambda, gamma_min_spe
 
     lam = compute_lambda(game)
     if args.dump_lambda is not None:
@@ -280,20 +256,14 @@ def cmd_spe(args):
                 json.dump({"lambda": entries}, handle, indent=2)
         except OSError as exc:
             raise InputError(f"cannot write {args.dump_lambda}: {exc}") from exc
-    if args.exists:
-        ok, witness = spe_exists(game, lam)
-        payload = {"command": "spe", "exists": ok}
-        if ok:
-            payload["witness"] = witness.to_json(game.arena)
-        _emit(payload, args)
-        return EXIT_OK if ok else EXIT_NO
-    found = gamma_min_spe(game, gamma, lam)
+    found = gamma_min_spe(game, gamma, lam)  # all ones under --exists
+    payload = {"command": "spe", "exists": found is not None}
     if found is None:
-        _emit({"command": "spe", "exists": False}, args)
-        return EXIT_NO
-    cost, witness = found
-    payload = {"command": "spe", "exists": True}
-    return _emit_optimum(payload, args, game, gamma, cost, witness)
+        return payload
+    if args.exists:
+        payload["witness"] = found[1].to_json(game.arena)
+        return payload
+    return _optimum(payload, args, game, gamma, *found)
 
 
 def cmd_check(args):
@@ -303,9 +273,7 @@ def cmd_check(args):
         check = check_ne_outcome
     else:
         from .spe import check_spe_outcome as check
-    accepted = check(game, path)
-    _emit({"command": args.command, "accepted": accepted}, args)
-    return EXIT_OK if accepted else EXIT_NO
+    return {"command": args.command, "accepted": check(game, path)}
 
 
 def cmd_ratio(args):
@@ -319,8 +287,7 @@ def cmd_ratio(args):
     else:
         payload["ratio"] = {"num": ratio.numerator, "den": ratio.denominator}
         payload["decimal"] = float(ratio)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload
 
 
 def cmd_oracle(args):
@@ -461,10 +428,17 @@ def parse_args(argv):
 
 
 def run(argv) -> int:
+    """Runs one command line.  A handler returns its JSON payload, which is
+    printed here, or None when it printed its answer itself; the exit code
+    is 1 when the payload answers no (``accepted``, ``satisfied`` or
+    ``exists`` false), else 0."""
     try:
         args = parse_args(argv)
         started = time.perf_counter()
-        code = args.func(args)
+        payload = args.func(args) or {}
+        if payload:
+            print(json.dumps(payload,
+                             indent=2 if args.format == "pretty" else None))
     except (InputError, ArenaError, CostFunctionError, SemanticsError,
             StrategyError, BudgetExceeded) as exc:
         print(f"dyncong: {exc}", file=sys.stderr)
@@ -473,7 +447,9 @@ def run(argv) -> int:
         return EXIT_OK
     elapsed = (time.perf_counter() - started) * 1000
     print(f"[dyncong] {args.command}: {elapsed:.1f} ms", file=sys.stderr)
-    return code
+    no = any(payload.get(key) is False
+             for key in ("accepted", "satisfied", "exists"))
+    return EXIT_NO if no else EXIT_OK
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ import heapq
 
 from .arena import Arena, Game
 from .costfn import Record
-from .graphs import Edge, eval_path
+from .graphs import BudgetExceeded, Edge, eval_path, node_budget
 
 
 class StrategyError(ValueError):
@@ -213,11 +213,20 @@ def blind_ne(game: Game):
     best response.  Every swap decreases the potential by at least one,
     which bounds the number of swaps by the initial potential.  Returns the
     profile and the number of swaps performed.
+
+    Each improvement scan first adds ``n * (horizon + 1) * |V|``, the most
+    layered nodes its n best responses can expand, to a running count, and
+    raises :class:`BudgetExceeded` once that passes the node budget.
     """
     profile = BlindProfile((_layered_search(game, [])[0],) * game.n)
-    swaps = 0
-    cap = potential(game, profile)
-    while (found := _first_improvement(game, profile)) is not None:
+    swaps = work = 0
+    cap, budget = potential(game, profile), node_budget()
+    while True:
+        work += game.n * (profile.horizon + 1) * len(game.arena.states)
+        if work > budget:
+            raise BudgetExceeded("blind-NE best responses above node budget")
+        if (found := _first_improvement(game, profile)) is None:
+            break
         previous = potential(game, profile)
         profile = profile.replace(*found)
         assert potential(game, profile) < previous

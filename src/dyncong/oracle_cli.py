@@ -1,7 +1,8 @@
 """The ``oracle`` subcommand of the command-line front end: brute-force
-reference queries, with the arguments, messages and exit codes of
-:mod:`cli`.  :func:`cli.cmd_oracle` imports this module on first use, so
-no other command loads it or :mod:`oracle`.
+reference queries, with the arguments and messages of :mod:`cli`, whose
+:func:`cli.run` prints each payload and sets the exit code.
+:func:`cli.cmd_oracle` imports this module on first use, so no other
+command loads it or :mod:`oracle`.
 """
 
 from __future__ import annotations
@@ -10,9 +11,7 @@ import json
 
 from .arena import serialize_arena
 from .cli import (
-    EXIT_OK,
     InputError,
-    _emit,
     _emit_values,
     _load_game,
     _load_json,
@@ -39,14 +38,12 @@ def cmd_oracle(args):
             game, big_m = gen_partition_arena(family)
         except ValueError as exc:
             raise InputError(f"--family: {exc}") from exc
-        payload = {
+        return {
             "command": "oracle gen-partition",
             "players": game.n,
             "threshold": big_m,
             "arena": json.loads(serialize_arena(game.arena)),
         }
-        _emit(payload, args)
-        return EXIT_OK
     game = _load_game(args)
     for name in ("max_steps", "max_len", "horizon"):
         if getattr(args, name, 0) < 0:
@@ -56,8 +53,7 @@ def cmd_oracle(args):
             cost = brute_social_optimum(game, args.max_steps)
         except ValueError as exc:
             raise InputError(f"--max-steps: {exc}") from exc
-        _emit({"command": "oracle so", "cost": cost}, args)
-        return EXIT_OK
+        return {"command": "oracle so", "cost": cost}
     if args.oracle_cmd == "br":
         if not 1 <= args.player <= game.n:
             raise InputError(f"--player must be between 1 and {game.n}")
@@ -68,19 +64,13 @@ def cmd_oracle(args):
             )
         except ValueError as exc:
             raise InputError(f"--max-len: {exc}") from exc
-        _emit({"command": "oracle br", "cost": cost}, args)
-        return EXIT_OK
+        return {"command": "oracle br", "cost": cost}
     if args.oracle_cmd == "values":
-        _emit_values("oracle values", game.arena,
-                     brute_values(game, args.horizon), args)
-        return EXIT_OK
+        return _emit_values("oracle values", game.arena,
+                            brute_values(game, args.horizon), args)
     outcomes = brute_ne_outcomes(game, args.max_steps)  # ne-outcomes
-    _emit(
-        {
-            "command": "oracle ne-outcomes",
-            "count": len(outcomes),
-            "outcomes": [p.to_json(game.arena) for p in outcomes],
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "command": "oracle ne-outcomes",
+        "count": len(outcomes),
+        "outcomes": [p.to_json(game.arena) for p in outcomes],
+    }

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,6 +325,19 @@ def test_budget_abort(capsys, fig5_file, monkeypatch):
     )
     assert code == 3
     assert payload is None
+
+
+def test_blind_ne_stops_at_the_node_budget(capsys, tmp_path, monkeypatch):
+    # Each improvement scan counts n * (horizon + 1) * |V| layered nodes
+    # against the budget; grid6 n=64 ran its best responses for over 1 s.
+    arena = tmp_path / "grid6.json"
+    arena.write_text(serialize_arena(grid_arena(6)))
+    monkeypatch.setenv("DYNCONG_NODE_BUDGET", "10000")
+    started = time.perf_counter()
+    answer = invoke_raw(capsys, "blind-ne", "--arena", str(arena),
+                        "--players", "64")
+    assert time.perf_counter() - started < 1
+    assert answer == (3, "", "dyncong: blind-NE best responses above node budget\n")
 
 
 # The child caps its own address space, so a list that outgrows the budget
@@ -940,6 +954,71 @@ def test_spe_stdout_bytes_pinned(capsys, tmp_path, fig1_file, fig5_file,
     assert invoke_raw(capsys, "check-spe", *game, "--outcome", outcome)[:2] == (
         0, '{"command": "check-spe", "accepted": true}\n'
     )
+
+
+# One command line per entry of ``cli.COMMANDS``, on fig1 with two players,
+# plus every "no" answer fig1 gives: a bound missed and an outcome rejected.
+# "{profile}" puts both players on v1 -> v2 -> v3, "{shared}" is its
+# outcome, which neither check accepts, and "{witness}" is the social
+# optimum's witness, which both accept.  No corpus game lacks an SPE, so
+# ``test_spe_without_equilibrium_answers_no`` stubs that answer.
+EXIT_CASES = [  # (command line, exit code)
+    ("validate --arena {arena}", 0),
+    ("so {game}", 0),
+    ("so {game} --bound 21", 1),
+    ("blind-ne {game}", 0),
+    ("eval {game} --profile {profile}", 0),
+    ("values {game}", 0),
+    ("ne --best {game} --bound 22", 0),
+    ("ne --best {game} --bound 21", 1),
+    ("check-ne {game} --outcome {witness}", 0),
+    ("check-ne {game} --outcome {shared}", 1),
+    ("spe --exists {game}", 0),
+    ("spe --best {game} --bound 21", 1),
+    ("check-spe {game} --outcome {witness}", 0),
+    ("check-spe {game} --outcome {shared}", 1),
+    ("poa {game}", 0),
+    ("pos {game}", 0),
+    ("oracle so {game} --max-steps 8", 0),
+    ("oracle br {game} --profile {profile} --player 1 --max-len 6", 0),
+    ("oracle values {game} --horizon 3", 0),
+    ("oracle ne-outcomes {game} --max-steps 6", 0),
+    ("oracle gen-partition --family 1,1", 0),
+]
+
+
+def test_exit_cases_cover_every_command():
+    names = {" ".join(line.split()[:2 if line.startswith("oracle") else 1])
+             for line, _ in EXIT_CASES}
+    assert names == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("line, expected", EXIT_CASES,
+                         ids=[line.replace(" {game}", "") for line, _ in EXIT_CASES])
+def test_exit_code_is_1_exactly_when_the_answer_is_no(capsys, tmp_path,
+                                                       fig1_file, line, expected):
+    game = ["--arena", fig1_file, "--players", "2"]
+    v2 = [["src", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "tgt"]]
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"profile": [v2, v2]}))
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps(
+        invoke(capsys, "eval", *game, "--profile", str(profile))[1]["outcome"]))
+    witness = _write_outcome(tmp_path, invoke(capsys, "so", *game)[1]["witness"])
+    words = {"{game}": game, "{arena}": [fig1_file], "{profile}": [str(profile)],
+             "{shared}": [str(shared)], "{witness}": [witness]}
+    argv = [word for part in line.split() for word in words.get(part, [part])]
+    code, payload = invoke(capsys, *argv)
+    no = any(payload.get(key) is False
+             for key in ("accepted", "satisfied", "exists"))
+    assert code == int(no) == expected
+
+
+@pytest.mark.parametrize("flag", ["--exists", "--best"])
+def test_spe_without_equilibrium_answers_no(capsys, monkeypatch, fig1_file, flag):
+    monkeypatch.setattr("dyncong.spe.gamma_min_spe", lambda game, gamma, lam: None)
+    answer = invoke_raw(capsys, "spe", flag, "--arena", fig1_file, "--players", "2")
+    assert answer[:2] == (1, '{"command": "spe", "exists": false}\n')
 
 
 @pytest.mark.parametrize("family", ["x", "1,2"])

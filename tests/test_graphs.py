@@ -4,11 +4,13 @@ import json
 import math
 import random
 import sys
+import time
 
 import pytest
 
 import dyncong.graphs as graphs
-from dyncong.arena import Game
+from dyncong.arena import ArenaError, Game, build_arena
+from dyncong.costfn import constant
 from dyncong.dynamics import BlindProfile, blind_ne, is_blind_ne, play_profile
 from dyncong.graphs import (
     INF,
@@ -299,6 +301,24 @@ def test_outcome_path_json_roundtrip(fig1, fig1_g2, fig1_paths):
     assert data["steps"][0]["moves"] == [["src", "v1"], ["src", "v1"]]
     again = path_from_json(fig1_g2, json.loads(json.dumps(data)))
     assert again == path
+
+
+def test_long_outcome_reads_in_linear_time():
+    # Names are looked up in ``Arena.names``; scanning ``states`` for each
+    # name took over 7 s on this outcome.
+    states = [f"s{k}" for k in range(20_001)]
+    pairs = list(zip(states, states[1:]))
+    arena = build_arena(states, [(u, v, constant(1)) for u, v in pairs],
+                        states[0], states[-1])
+    data = {"steps": [{"moves": [[u, v]], "weights": [1], "config": [v]}
+                      for u, v in pairs]}
+    started = time.perf_counter()
+    path = path_from_json(Game(arena, 1), data)
+    assert time.perf_counter() - started < 1
+    assert len(path.steps) == 20_000 and path.configs()[-1] == (arena.tgt,)
+    for name in ("nowhere", ["s0"]):
+        with pytest.raises(ArenaError, match="unknown state"):
+            arena.index(name)
 
 
 def _dict_shortest_path(start, nodes, edges, weight_of, targets):

@@ -188,6 +188,19 @@ def test_queries_load_no_dataclasses_or_inspect(tmp_path):
     _run_fresh(script, tmp_path)
 
 
+def test_only_run_decides_the_exit_code():
+    # Handlers return their payload, and ``cli.run`` alone prints it and
+    # turns its answer into the exit code, the rule README states.
+    for name in ("cli.py", "oracle_cli.py"):
+        tree = ast.parse((Path(dyncong.__file__).parent / name).read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name != "run":
+                for node in ast.walk(func):
+                    found = getattr(node, "id", getattr(node, "attr", None))
+                    assert found not in ("EXIT_OK", "EXIT_NO", "_emit"), (
+                        name, func.name, found)
+
+
 PROGRAM_HELP = """\
 usage: dyncong [--format json|pretty] COMMAND [OPTIONS]
 
