@@ -217,19 +217,24 @@ def blind_ne(game: Game):
     Each improvement scan first adds ``n * (horizon + 1) * |V|``, the most
     layered nodes its n best responses can expand, to a running count, and
     raises :class:`BudgetExceeded` once that passes the node budget.
+
+    The loop ends only on a scan in which no player improves, so the
+    returned profile is a blind Nash equilibrium and needs no second check
+    with :func:`is_blind_ne`.
     """
     profile = BlindProfile((_layered_search(game, [])[0],) * game.n)
     swaps = work = 0
-    cap, budget = potential(game, profile), node_budget()
+    cap = current = potential(game, profile)
+    budget = node_budget()
     while True:
         work += game.n * (profile.horizon + 1) * len(game.arena.states)
         if work > budget:
             raise BudgetExceeded("blind-NE best responses above node budget")
         if (found := _first_improvement(game, profile)) is None:
             break
-        previous = potential(game, profile)
         profile = profile.replace(*found)
-        assert potential(game, profile) < previous
+        previous, current = current, potential(game, profile)
+        assert current < previous
         swaps += 1
     assert swaps <= cap
     return profile, swaps

@@ -231,17 +231,16 @@ def parikh(game: Game, config: Config) -> tuple[int, ...]:
 
 
 def compositions(total: int, parts: int):
-    """All ways to write ``total`` as an ordered sum of ``parts`` naturals."""
+    """All ways to write ``total`` as an ordered sum of ``parts`` naturals,
+    in ascending tuple order: stars and bars, with the ``parts - 1`` bars
+    drawn in ascending order from ``total + parts - 1`` slots."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 def distributions(arena: Arena, abstract: tuple[int, ...]):
@@ -253,40 +252,28 @@ def distributions(arena: Arena, abstract: tuple[int, ...]):
     successor abstract configuration.  Enumeration order is the product of
     per-state compositions in canonical state and edge order.
     """
-    occupied = [v for v, cnt in enumerate(abstract) if cnt > 0]
     per_state = []
-    for v in occupied:
+    for v, cnt in enumerate(abstract):
+        if not cnt:
+            continue
         outs = arena.out[v]
         if not outs:
             return  # dead end: no distribution exists
         options = []
-        for combo in compositions(abstract[v], len(outs)):
-            weight = 0
-            for count, (succ, fn) in zip(combo, outs):
-                if count:
-                    weight += count * fn(count)
-            options.append((combo, weight))
-        per_state.append((v, outs, options))
-
-    def rec(idx, dist, weight):
-        if idx == len(per_state):
-            nxt = [0] * len(abstract)
-            for (u, v), count in dist.items():
-                nxt[v] += count
-            yield dict(dist), weight, tuple(nxt)
-            return
-        v, outs, options = per_state[idx]
-        for combo, wgt in options:
-            added = {}
-            for count, (succ, _) in zip(combo, outs):
-                if count:
-                    added[(v, succ)] = count
+        for combo in compositions(cnt, len(outs)):
+            added = {(v, succ): count
+                     for count, (succ, _) in zip(combo, outs) if count}
+            options.append((added, sum(count * arena.edges[edge](count)
+                                       for edge, count in added.items())))
+        per_state.append(options)
+    for parts in itertools.product(*per_state):
+        dist, weight, nxt = {}, 0, [0] * len(abstract)
+        for added, wgt in parts:
             dist.update(added)
-            yield from rec(idx + 1, dist, weight + wgt)
-            for key in added:
-                del dist[key]
-
-    yield from rec(0, {}, 0)
+            weight += wgt
+        for (_, v), count in dist.items():
+            nxt[v] += count
+        yield dist, weight, tuple(nxt)
 
 
 def dev_set(game: Game, config: Config, nxt: Config, player: int):

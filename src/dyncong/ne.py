@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 
 from .arena import Game
 from .costfn import kappa
@@ -54,9 +55,15 @@ from .graphs import (
     dev_set,
     initial_config,
     node_budget,
+    parikh,
     target_config,
 )
-from .outcome import check_outcome_shape, cheapest_outcome, path_from_configs
+from .outcome import (
+    check_outcome_shape,
+    cheapest_outcome,
+    label_consistent,
+    path_from_configs,
+)
 from .socopt import social_optimum
 
 ValueState = tuple[int, tuple[int, ...]]  # (own state, coalition counts)
@@ -75,14 +82,11 @@ class ValueTable:
 
 
 def _coalition_states(game: Game):
-    num_states = len(game.arena.states)
-    for combo in itertools.combinations_with_replacement(
-        range(num_states), game.n - 1
-    ):
-        counts = [0] * num_states
-        for state in combo:
-            counts[state] += 1
-        yield tuple(counts)
+    """The coalition's per-state head counts, one per multiset of the other
+    n - 1 players' states."""
+    states = range(len(game.arena.states))
+    for combo in itertools.combinations_with_replacement(states, game.n - 1):
+        yield parikh(game, combo)
 
 
 def compute_values(game: Game) -> ValueTable:
@@ -142,7 +146,10 @@ def compute_values(game: Game) -> ValueTable:
     # Per coalition state: (per-edge coalition loads, successor id base) for
     # each coalition distribution, the product over the occupied states of
     # the ways to spread their players over their out-edges, each spread
-    # listed once as (edge id, count) pairs.
+    # listed once as (edge id, count) pairs.  Their number, the product of
+    # the per-state counts C(c + d - 1, d - 1) summed over the rows, is held
+    # to the node budget before any row is built; no spread list is longer
+    # than the number of coalition states, which passed it.
     @functools.cache
     def spreads(v, count):
         return [
@@ -150,6 +157,9 @@ def compute_values(game: Game) -> ValueTable:
             for combo in compositions(count, len(out[v]))
         ]
 
+    if sum(math.prod(len(spreads(v, c)) for v, c in enumerate(counts) if c)
+           for counts in all_counts) > budget:
+        raise BudgetExceeded("value-table moves above node budget")
     moves: list[list[tuple[tuple[int, ...], int]]] = []
     for counts in all_counts:
         row = []
@@ -217,17 +227,12 @@ def check_ne_outcome(game: Game, path: OutcomePath, values: ValueTable | None = 
     Checks, for every player and step, that the suffix cost is covered by
     the player's :func:`deviation_floor` there: the cheapest unilateral
     deviation's step cost plus the coalition value at the deviated
-    configuration.
+    configuration (:func:`outcome.label_consistent`).
     """
     check_outcome_shape(game, path)
     if values is None:
         values = compute_values(game)
-    configs = path.configs()
-    for cur, nxt, suffix in zip(configs, configs[1:], path.suffix_costs()):
-        for i in range(game.n):
-            if suffix[i] > deviation_floor(game, values, cur, nxt, i):
-                return False
-    return True
+    return label_consistent(path, functools.partial(deviation_floor, game, values))
 
 
 def deviation_floor(game: Game, values: ValueTable, config: Config,

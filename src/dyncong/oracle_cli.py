@@ -17,6 +17,7 @@ from .cli import (
     _load_json,
     _profile_from_json,
 )
+from .graphs import BudgetExceeded
 from .oracle import (
     brute_best_response,
     brute_ne_outcomes,
@@ -48,6 +49,17 @@ def cmd_oracle(args):
     for name in ("max_steps", "max_len", "horizon"):
         if getattr(args, name, 0) < 0:
             raise InputError(f"--{name.replace('_', '-')} must be at least 0")
+    try:
+        return _brute_force(args, game)
+    except RecursionError as exc:
+        raise BudgetExceeded(
+            f"oracle {args.oracle_cmd} recursed past Python's depth limit"
+        ) from exc
+
+
+def _brute_force(args, game):
+    """The payload of an oracle query on ``game``; the oracles recurse once
+    per step of a play, so a long one can pass Python's depth limit."""
     if args.oracle_cmd == "so":
         try:
             cost = brute_social_optimum(game, args.max_steps)

@@ -1,6 +1,6 @@
 """Outcome paths that NE and SPE share: read from JSON, built from a
-configuration chain or an abstract path, checked for shape, and the
-gamma-cheapest one of an explicit graph.
+configuration chain or an abstract path, checked for shape and against a
+per-step label, and the gamma-cheapest one of an explicit graph.
 
 Building and checking play the moves through :func:`graphs.replay`, so
 weights and configurations come from the validating :func:`graphs.step`;
@@ -88,6 +88,20 @@ def check_outcome_shape(game: Game, path: OutcomePath) -> None:
     for (_, weights, nxt), (_, recomputed, result) in zip(path.steps, replayed.steps):
         if result != nxt or recomputed != tuple(weights):
             raise SemanticsError("path weights or configurations are inconsistent")
+
+
+def label_consistent(path: OutcomePath, label) -> bool:
+    """Whether each player's suffix cost stays at or under the label of the
+    step it starts with: ``suffix[i] <= label(cur, nxt, i)`` for every step
+    cur => nxt in play order and every player i, stopping at the first
+    violation.  NE outcomes take the deviation floors as labels, SPE
+    outcomes the fixpoint labels."""
+    configs = path.configs()
+    for cur, nxt, suffix in zip(configs, configs[1:], path.suffix_costs()):
+        for i, cost in enumerate(suffix):
+            if cost > label(cur, nxt, i):
+                return False
+    return True
 
 
 def cheapest_outcome(game: Game, start, nodes, edges, gamma, targets):

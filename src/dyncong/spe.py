@@ -41,7 +41,7 @@ from .graphs import (
     reachable_graph,
     target_config,
 )
-from .outcome import check_outcome_shape, cheapest_outcome
+from .outcome import check_outcome_shape, cheapest_outcome, label_consistent
 
 EdgeKey = tuple[Config, Config]
 LabelTable = dict[EdgeKey, tuple]  # per-edge tuple of per-player labels
@@ -476,16 +476,12 @@ def compute_lambda(game: Game) -> LambdaResult:
 def check_spe_outcome(game: Game, path: OutcomePath,
                       lam: LambdaResult | None = None) -> bool:
     """Whether the path is the outcome of a subgame-perfect equilibrium:
-    every suffix cost must respect the fixpoint label of the edge taken."""
+    every suffix cost must respect the fixpoint label of the edge taken
+    (:func:`outcome.label_consistent`)."""
     check_outcome_shape(game, path)
     if lam is None:
         lam = compute_lambda(game)
-    configs = path.configs()
-    for cur, nxt, suffix in zip(configs, configs[1:], path.suffix_costs()):
-        label = lam.labels[(cur, nxt)]
-        if any(cost > bound for cost, bound in zip(suffix, label)):
-            return False
-    return True
+    return label_consistent(path, lambda cur, nxt, i: lam.labels[(cur, nxt)][i])
 
 
 def spe_exists(game: Game, lam: LambdaResult | None = None):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncong import cli
-from dyncong.arena import serialize_arena
+from dyncong.arena import build_arena, serialize_arena
+from dyncong.costfn import constant
 from dyncong.cli import run
 
 from corpus import fig1_arena, fig5_arena, grid_arena
@@ -394,6 +395,71 @@ def test_huge_player_count_exits_on_budget(fig1_file, command):
                        "--players", str(10 ** 20))
     assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr[-2000:]
     assert proc.stderr == "dyncong: game cost tables above node budget\n"
+
+
+def _fan_arena_file(tmp_path, width):
+    """A source with ``width`` out-edges, each to its own state and on to
+    the target, every edge of cost 1."""
+    middle = [f"m{k}" for k in range(width)]
+    arena = build_arena(
+        ["src", *middle, "tgt"],
+        [("src", m, constant(1)) for m in middle]
+        + [(m, "tgt", constant(1)) for m in middle],
+        "src", "tgt")
+    path = tmp_path / f"fan{width}.json"
+    path.write_text(serialize_arena(arena))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, players, budget", [
+    ("values", 8, 200_000), ("poa", 6, 20_100),
+])
+def test_value_table_moves_stay_under_the_node_budget(
+        capsys, tmp_path, monkeypatch, command, players, budget):
+    # On an 8-way fan, 8 players give 114,400 value states, under the
+    # budget, and 245,157 coalition moves, over it (12 players: 13,037,895,
+    # a MemoryError under a 2 GB address-space cap); 6 players give 20,020
+    # and 20,349.  ``poa`` runs with 6, because past a table it would list
+    # the 8**8 joint steps of the source.
+    monkeypatch.setenv("DYNCONG_NODE_BUDGET", str(budget))
+    answer = invoke_raw(capsys, command, "--arena", _fan_arena_file(tmp_path, 8),
+                        "--players", str(players))
+    assert answer == (3, "", "dyncong: value-table moves above node budget\n")
+
+
+@pytest.mark.parametrize("command", [["so"], ["so", "--bound", "2"], ["pos"]],
+                         ids=["so", "so-bound", "pos"])
+def test_wide_fan_needs_no_deep_recursion(capsys, tmp_path, command):
+    # One player over 1,100 out-edges: the enumeration of their compositions
+    # once recursed once per edge, a RecursionError past Python's limit.
+    code, payload = invoke(capsys, *command, "--arena",
+                           _fan_arena_file(tmp_path, 1100), "--players", "1")
+    assert code == 0
+    cost = payload["best_ne"] if command == ["pos"] else payload["cost"]
+    assert cost == 2
+    if command == ["pos"]:
+        assert payload["social_optimum"] == 2
+
+
+@pytest.mark.parametrize("query", [
+    ["ne-outcomes", "--max-steps", "3000"],
+    ["br", "--player", "1", "--max-len", "3000"],
+    ["values", "--horizon", "3000"],
+], ids=["ne-outcomes", "br", "values"])
+def test_deep_oracle_recursion_gets_one_line(capsys, tmp_path, query):
+    # The wait loop comes first, so the brute-force searches recurse once
+    # per step of a 3,000-step play.
+    arena = tmp_path / "loop.json"
+    arena.write_text(serialize_arena(build_arena(
+        ["s", "t"], [("s", "s", constant(1)), ("s", "t", constant(1))],
+        "s", "t")))
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"profile": [[["s", "t"]]]}))
+    extra = ["--profile", str(profile)] if query[0] == "br" else []
+    answer = invoke_raw(capsys, "oracle", *query, *extra, "--arena",
+                        str(arena), "--players", "1")
+    assert answer == (3, "", f"dyncong: oracle {query[0]} recursed past "
+                      "Python's depth limit\n")
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "-5", "0"])

@@ -251,6 +251,33 @@ def test_each_game_builds_its_tables_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _recursive_compositions(total, parts):
+    """The recursive definition that ``graphs.compositions`` replaces: head
+    counts ascending, each followed by the compositions of the rest."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def test_compositions_match_the_recursive_definition():
+    # Stars and bars yield the same tuples in the same order.
+    for total in range(9):
+        for parts in range(8):
+            assert list(graphs.compositions(total, parts)) == list(
+                _recursive_compositions(total, parts)), (total, parts)
+    # One player over far more out-edges than the recursion limit allows.
+    wide = list(graphs.compositions(1, sys.getrecursionlimit() + 100))
+    assert len(wide) == sys.getrecursionlimit() + 100
+    assert wide[0][-1] == 1 and wide[-1][0] == 1
+
+
 def test_step_weight_sum_matches_abstract_edge(corpus):
     rng = random.Random(11)
     for _, game in corpus:

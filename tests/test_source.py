@@ -121,6 +121,21 @@ def test_module_level_imports_come_from_the_allowlist():
                 assert top == "dyncong" or top in STDLIB_ALLOWED, (path.name, name)
 
 
+def test_no_solver_function_calls_itself():
+    # A recursive solver dies with a RecursionError on a long play or a
+    # wide state, so every search and enumeration in the package is a loop.
+    # The brute-force oracles stay recursive, since they are references.
+    for path in sorted(Path(dyncong.__file__).parent.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [node for node in ast.walk(func)
+                         if isinstance(node, ast.Call)
+                         and getattr(node.func, "id", None) == func.name]
+                assert not calls, (path.name, func.name)
+
+
 def _run_fresh(script, tmp_path):
     """Runs ``script`` in a fresh interpreter, since the test session has
     every module loaded, with the fig1 arena file as its argument."""
