@@ -296,6 +296,41 @@ def dev_set(game: Game, config: Config, nxt: Config, player: int):
     return result
 
 
+def counter_step(tgt: int, node, steps, labels, floor, bound):
+    """Successors ``((nxt, counters'), weights)`` of the counter node
+    ``(config, counters)``, over the configuration's joint steps ``(nxt,
+    weights)`` and their per-step label tuples ``labels``, in step order.
+
+    A player on the target keeps counter 0, on its zero-cost loop.  Any
+    other counter becomes ``min(c_i, l_i) - w_i``: it only falls, by at
+    least the weight paid, so the residual budget of the Nash bound graph
+    (labels the deviation floors) and of the SPE counter graph (labels the
+    fixpoint) are the same update.  Every such counter of every step must be
+    +inf or at most ``bound``, which is asserted before a step is dropped.
+    A step is kept when each such counter is at least ``floor[nxt_i]``, a
+    lower bound on what the player still pays; a -inf label drops it.
+    """
+    config, counters = node
+    n = len(config)
+    movers = [i for i, state in enumerate(config) if state != tgt]
+    succs = []
+    for (nxt, weights), label in zip(steps, labels):
+        updated = [0] * n
+        keep = True
+        for i in movers:
+            value = counters[i]
+            if label[i] < value:
+                value = label[i]
+            value -= weights[i]
+            assert value <= bound or value == INF, "counter above its bound"
+            if value < floor[nxt[i]]:
+                keep = False
+            updated[i] = value
+        if keep:
+            succs.append(((nxt, tuple(updated)), weights))
+    return succs
+
+
 class ReachableGraph:
     """Configurations reachable from the initial one, with their transitions."""
 

@@ -31,8 +31,9 @@ and returns a chain of nodes, whose configurations make the witness; its
 sweeps scan only the nodes whose distance fell, which keeps every
 tie-break (:func:`graphs.shortest_path`).  Each deviation floor is computed
 once per deviation class of a configuration, and a node's successor bounds
-are worked out one player column at a time.  Every command builds the table
-once and runs one such search, PoA and PoS included
+come from the counter step the SPE counter graphs take too
+(:func:`graphs.counter_step`), with the floors as labels.  Every command
+builds the table once and runs one such search, PoA and PoS included
 (:func:`equilibrium_ratio`).
 """
 
@@ -52,6 +53,7 @@ from .graphs import (
     OutcomePath,
     SemanticsError,
     compositions,
+    counter_step,
     dev_set,
     initial_config,
     node_budget,
@@ -259,61 +261,52 @@ def _start_node(game: Game):
 def _ne_successors(game: Game, values: ValueTable):
     """Successor function of the bound-augmented configuration graph.
 
-    Nodes are ``(configuration, bounds)`` with bounds in [0, Y] or +inf.
-    ``successors(node)`` lists ``((nxt, bounds'), weights)`` in the order of
-    the configuration's joint steps (:meth:`graphs.GameView.joint_steps`),
-    keeping the edges on which every updated bound stays nonnegative.
-    Bounds above the ceiling Y are clamped to Y, which is sound because no
-    equilibrium suffix costs more than Y.  Each configuration's joint steps
-    are generated on its first expansion and kept for this successor
-    function only; no configuration graph is built beforehand.  A deviation
-    floor depends on the transition only through the other players' moves,
-    so it is computed once per deviation class ``(player, nxt without the
-    player)`` of the configuration.  The kept transitions are also stored
-    as one column per player, its weights and caps across them, so a node's
-    new bounds take n short list passes, one per column; the bound tuples,
-    their values and types, and the successor order are those of a pass per
-    transition.
+    Nodes are ``(configuration, bounds)`` with bounds in [0, Y] or +inf, Y
+    the value ceiling.  ``successors(node)`` lists ``((nxt, bounds'),
+    weights)`` in the order of the configuration's joint steps
+    (:meth:`graphs.GameView.joint_steps`): the counter step of
+    :func:`graphs.counter_step` with the deviation floors as labels and
+    floor 0, which keeps the edges on which every updated bound stays
+    nonnegative.  No bound exceeds Y, which the step asserts: the prescribed
+    move is one of the deviations of :func:`graphs.dev_set`, at cost exactly
+    w_i, and every value is at most Y, so ``floor_i <= w_i + Y`` and
+    ``b'_i = min(b_i, floor_i) - w_i <= Y``.  A player on the target pays 0
+    on its zero-cost loop and keeps bound 0.
+
+    Each configuration's joint steps are generated on its first expansion
+    and kept for this successor function only; no configuration graph is
+    built beforehand.  A deviation floor depends on the transition only
+    through the other players' moves, so it is computed once per deviation
+    class ``(player, nxt without the player)`` of the configuration.  Only
+    the steps open from the all-+inf node are kept, with their floors: a
+    bound only falls, so a step closed there is closed from every node.
     """
     tgt = game.arena.tgt
     ceiling = values.ceiling
+    zeros = [0] * len(game.arena.states)
     joint_steps = game.view.joint_steps
-    # Per configuration, its transitions as (nxt, weights, caps) with
-    # caps_i = min(floor_i - w_i, Y): the new bound is min(b_i - w_i, caps_i)
-    # (b_i - w_i <= Y when b_i is finite).  A player on the target pays 0
-    # on its zero-cost loop and keeps bound 0, as a floor of 0 yields.  A
-    # transition with a negative cap is closed from every node.
-    options: dict[Config, tuple] = {}
+    options: dict[Config, tuple] = {}  # per configuration: (steps, floors)
 
     def successors(node):
-        config, bounds = node
+        config = node[0]
         opts = options.get(config)
         if opts is None:
-            kept, kept_caps = [], []
+            unbounded = (config, (INF,) * len(config))
+            steps, rows = opts = options[config] = [], []
             floors = {}  # per deviation class (player, nxt without them)
-            for nxt, weights in joint_steps(config):
-                caps = []
+            for step in joint_steps(config):
+                nxt = step[0]
+                row = [0] * len(config)
                 for i, state in enumerate(config):
-                    cls = (i, nxt[:i] + nxt[i + 1:])
-                    if cls not in floors:
-                        floors[cls] = 0 if state == tgt else deviation_floor(
-                            game, values, config, nxt, i)
-                    caps.append(min(floors[cls] - weights[i], ceiling))
-                if min(caps) >= 0:
-                    kept.append((nxt, weights))
-                    kept_caps.append(caps)
-            # Per player i, the column of its weights and caps across the
-            # kept transitions.
-            opts = options[config] = (
-                kept, list(zip(zip(*[w for _, w in kept]), zip(*kept_caps))))
-        kept, columns = opts
-        # Per player, min(b - w, c) down a column, or -1 where b < w closes
-        # the transition (every kept cap c is >= 0).
-        updated = zip(*[[(x if x <= c else c) if (x := b - w) >= 0 else -1
-                         for w, c in zip(ws, cs)]
-                        for b, (ws, cs) in zip(bounds, columns)])
-        return [((nxt, bnds), weights)
-                for (nxt, weights), bnds in zip(kept, updated) if -1 not in bnds]
+                    if state != tgt:
+                        cls = (i, nxt[:i] + nxt[i + 1:])
+                        if cls not in floors:
+                            floors[cls] = deviation_floor(game, values, config, nxt, i)
+                        row[i] = floors[cls]
+                if counter_step(tgt, unbounded, [step], [row], zeros, ceiling):
+                    steps.append(step)
+                    rows.append(tuple(row))
+        return counter_step(tgt, node, *opts, zeros, ceiling)
 
     return successors
 
@@ -347,9 +340,9 @@ def _explore_ne_graph(game: Game, values: ValueTable):
     return start, nodes, edges
 
 
-def _heuristic(game: Game, gamma, ceiling: int):
+def _heuristic(game: Game, gamma):
     """``h(config, bounds) = sum over gamma_i >= 0 of gamma_i * dist_1(c_i)
-    + sum over gamma_i < 0 of gamma_i * min(b_i, Y)``, Y the value ceiling.
+    + sum over gamma_i < 0 of gamma_i * b_i``.
 
     A lower bound on the gamma-cost still to pay: a player at state v pays
     at least ``dist_1(v)`` before reaching the target (``Game.view.dist1``),
@@ -362,7 +355,7 @@ def _heuristic(game: Game, gamma, ceiling: int):
     def h(node):
         config, bounds = node
         return sum(
-            g * (dist1[s] if g >= 0 else min(b, ceiling))
+            g * (dist1[s] if g >= 0 else b)
             for g, s, b in zip(gamma, config, bounds)
         )
 
@@ -382,7 +375,8 @@ def _min_ne_search(game: Game, gamma, values: ValueTable, successors,
     - take a step u -> v of weights w and cost ``z = gamma . w`` from a
       node u other than the start.  Each gamma_i >= 0 term obeys
       ``dist_1(c_i) <= w_i + dist_1(c'_i)``.  The bounds of u are finite,
-      so ``b_i <= Y`` and ``b'_i <= b_i - w_i``; with gamma_i < 0 that gives
+      at most Y by the argument of :func:`_ne_successors`, and
+      ``b'_i <= b_i - w_i``; with gamma_i < 0 that gives
       ``gamma_i * b_i <= gamma_i * w_i + gamma_i * b'_i``.  Summed over the
       players, ``h(u) <= z + h(v)``: every reduced cost is nonnegative;
     - only the start has +inf bounds; it is popped first and never reached
@@ -395,7 +389,7 @@ def _min_ne_search(game: Game, gamma, values: ValueTable, successors,
     :func:`gamma_min_ne` instead: Dijkstra on heap keys ``(g, push
     counter)``, skipping every push with ``g + h > optimum``.
     """
-    h = _heuristic(game, gamma, values.ceiling)
+    h = _heuristic(game, gamma)
     tgt_cfg = target_config(game)
     budget = node_budget()
     start = _start_node(game)

@@ -35,6 +35,7 @@ from .graphs import (
     OutcomePath,
     ReachableGraph,
     SemanticsError,
+    counter_step,
     dev_set,
     initial_config,
     node_budget,
@@ -65,11 +66,12 @@ class CounterExploration:
     value in the one sweep).  The labels are read in ``__init__`` only, so a
     caller may rewrite them while it still queries the exploration.
 
-    Nodes are ``(config, counters)``.  Along an edge, a player on the target
-    gets counter 0; any other counter becomes the minimum of itself and the
-    edge's label, less the weight just paid.  A valid path keeps every
-    counter nonnegative up to and including the step on which its player
-    enters the target, so a -inf label poisons the edge.
+    Nodes are ``(config, counters)``, and one rule, :func:`graphs.counter_step`
+    with the edge labels, covers every player, on the target or not: a player
+    on the target gets counter 0; any other counter becomes the minimum of
+    itself and the edge's label, less the weight just paid.  A valid path
+    keeps every counter nonnegative up to and including the step on which
+    its player enters the target, so a -inf label poisons the edge.
 
     Only nodes that can still pay their way to the target are explored (the
     admissible lower-bound pruning of A*, Hart, Nilsson and Raphael, 1968):
@@ -116,7 +118,6 @@ class CounterExploration:
 
     def __init__(self, game: Game, graph: ReachableGraph, labels: LabelTable,
                  starts, counter_bound=None, known=None):
-        n = game.n
         tgt = game.arena.tgt
         dist1 = game.view.dist1
         budget = node_budget()
@@ -126,45 +127,26 @@ class CounterExploration:
             c: (c, initial_counters(game, c)) for c in starts
         }
         adjacency = self.adjacency = {}
-        movers: dict = {}  # per config, the players not yet on the target
         seen = self.nodes = set(self.start_nodes.values())
         frontier = list(seen)
         while frontier:
             node = frontier.pop()
             if node in known:
                 continue
-            config, counters = node
-            players = movers.get(config)
-            if players is None:
-                players = movers[config] = [
-                    i for i in range(n) if config[i] != tgt
-                ]
-            succs = []
-            for nxt, weights in graph.successors(config):
-                label = labels[(config, nxt)]
-                updated = [0] * n
-                keep = True
-                for i in players:
-                    value = counters[i]
-                    if label[i] < value:
-                        value = label[i]
-                    value -= weights[i]
-                    assert value <= bound or value == INF, (
-                        "counter exceeded its stabilisation bound"
-                    )
-                    if value < dist1[nxt[i]]:
-                        keep = False
-                    updated[i] = value
-                if keep:
-                    succs.append((weights, (nxt, tuple(updated))))
-            adjacency[node] = succs
-            for _, nxt_node in succs:
+            config = node[0]
+            steps = graph.successors(config)
+            succs = counter_step(
+                tgt, node, steps, [labels[(config, nxt)] for nxt, _ in steps],
+                dist1, bound,
+            )
+            adjacency[node] = [(weights, nxt_node) for nxt_node, weights in succs]
+            for nxt_node, _ in succs:
                 if nxt_node not in seen:
                     seen.add(nxt_node)
                     if len(seen) > budget:
                         raise BudgetExceeded("counter graph above node budget")
                     frontier.append(nxt_node)
-        self._n = n
+        self._n = game.n
         self._tgt = tgt
 
     @cached_property

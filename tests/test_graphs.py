@@ -14,7 +14,9 @@ from dyncong.costfn import constant
 from dyncong.dynamics import BlindProfile, blind_ne, is_blind_ne, play_profile
 from dyncong.graphs import (
     INF,
+    NEG_INF,
     SemanticsError,
+    counter_step,
     dev_set,
     eval_path,
     initial_config,
@@ -149,6 +151,58 @@ def test_dev_set_fig5(fig5, fig5_g3):
     assert (cfg(fig5, "q1", "q1", "q1"), 6) in devs
     assert (cfg(fig5, "q1", "q1", "q4"), 3) in devs
     assert len(devs) == 2
+
+
+# Hand-built counter steps: state 0 is the target, and the floor asks for at
+# least 3 on state 2 and nothing elsewhere.
+TGT, FLOOR = 0, [0, 0, 3, 0]
+
+
+def test_counter_step_keeps_infinite_counters_under_infinite_labels():
+    node = ((1, 1), (INF, 9))
+    steps = [((2, 3), (1, 2)), ((3, 3), (4, 4))]
+    labels = [(INF, INF), (INF, 6)]
+    assert counter_step(TGT, node, steps, labels, FLOOR, 10) == [
+        (((2, 3), (INF, 7)), (1, 2)),
+        (((3, 3), (INF, 2)), (4, 4)),
+    ]
+
+
+def test_counter_step_drops_a_step_under_a_minus_infinite_label():
+    node = ((1, 1), (INF, INF))
+    steps = [((3, 3), (1, 1)), ((3, 1), (1, 1))]
+    labels = [(NEG_INF, 5), (5, 5)]
+    assert counter_step(TGT, node, steps, labels, FLOOR, 10) == [
+        (((3, 1), (4, 4)), (1, 1)),
+    ]
+
+
+def test_counter_step_keeps_zero_for_a_player_on_the_target():
+    # The label and the counter of the player on the target are ignored.
+    node = ((0, 1), (INF, 7))
+    steps = [((0, 3), (0, 5))]
+    assert counter_step(TGT, node, steps, [(-4, 6)], FLOOR, 10) == [
+        (((0, 3), (0, 1)), (0, 5)),
+    ]
+
+
+def test_counter_step_keeps_a_counter_equal_to_its_floor():
+    node = ((1, 1), (5, 8))
+    steps = [((2, 3), (2, 1)), ((2, 3), (3, 1))]
+    assert counter_step(TGT, node, steps, [(9, 9)] * 2, FLOOR, 10) == [
+        (((2, 3), (3, 7)), (2, 1)),
+    ]
+
+
+def test_counter_step_checks_every_counter_against_its_bound():
+    node = ((1, 1), (INF, INF))
+    with pytest.raises(AssertionError):
+        counter_step(TGT, node, [((3, 3), (1, 1))], [(5, 12)], FLOOR, 10)
+    # Player 0 falls below the floor of state 2, so the step is dropped, but
+    # player 1's counter is checked first all the same.
+    with pytest.raises(AssertionError):
+        counter_step(TGT, node, [((2, 3), (4, 1))], [(5, 12)], FLOOR, 10)
+    assert counter_step(TGT, node, [((2, 3), (4, 1))], [(5, 11)], FLOOR, 10) == []
 
 
 def test_step_is_permutation_equivariant(corpus):

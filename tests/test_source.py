@@ -75,6 +75,28 @@ def test_oracles_import_no_solver():
             assert name in BLIND_PROFILE_MODEL, (module, name)
 
 
+# The differential references keep their own counter update, so that a
+# reference test compares two independent updates.  Neither may reach the
+# solvers' shared ``graphs.counter_step`` or a solver built on it, by import
+# or by attribute.
+SHARED_COUNTER_STEP = {
+    ("graphs", "counter_step"), ("ne", "_ne_successors"),
+    ("spe", "CounterExploration"),
+}
+
+
+def test_differential_references_keep_their_own_counter_update():
+    names = {name for _, name in SHARED_COUNTER_STEP}
+    for reference in ("ne_reference.py", "spe_reference.py"):
+        tree = ast.parse((Path(__file__).parent / reference).read_text())
+        imports = set(_package_imports(tree))
+        assert imports, reference
+        assert not imports & SHARED_COUNTER_STEP, reference
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)}
+        assert not read & names, reference
+
+
 def _unused_imports(tree):
     """Names bound by a module-level import that the module never reads."""
     bound = set()
