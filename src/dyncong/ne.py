@@ -20,10 +20,13 @@ successors are generated on demand from each configuration's joint steps,
 with no configuration graph built first.  The on-demand search is A* for every
 gamma, under a heuristic that charges the load-one distance to the target for
 a nonnegative weight and the residual bound for a negative one
-(:func:`_min_ne_search`).  PoA and PoS need only its cost; a best NE
+(:func:`_min_ne_search`).  It skips every node where some bound is below
+that distance, since such a node reaches no target (:func:`_ne_successors`).
+PoA and PoS need only its cost; a best NE
 (gamma >= 0) takes its witness from a bounded replay of the full-graph
-Dijkstra.  A witness for a negative weight (worst NE, mixed gamma) still
-comes from exploring the whole graph and running Bellman-Ford, whose
+Dijkstra, which skips the same nodes.  A witness for a negative weight
+(worst NE, mixed gamma) still comes from exploring the whole graph, none of
+it skipped, and running Bellman-Ford, whose
 tie-breaks only the whole graph fixes (see :func:`gamma_min_ne`).  That
 graph holds one object per node, which every edge into it shares
 (:func:`_explore_ne_graph`), and the search reads it as compressed rows
@@ -258,20 +261,25 @@ def _start_node(game: Game):
     return (initial_config(game), (INF,) * game.n)
 
 
-def _ne_successors(game: Game, values: ValueTable):
+def _ne_successors(game: Game, values: ValueTable, floor):
     """Successor function of the bound-augmented configuration graph.
 
     Nodes are ``(configuration, bounds)`` with bounds in [0, Y] or +inf, Y
     the value ceiling.  ``successors(node)`` lists ``((nxt, bounds'),
     weights)`` in the order of the configuration's joint steps
     (:meth:`graphs.GameView.joint_steps`): the counter step of
-    :func:`graphs.counter_step` with the deviation floors as labels and
-    floor 0, which keeps the edges on which every updated bound stays
-    nonnegative.  No bound exceeds Y, which the step asserts: the prescribed
-    move is one of the deviations of :func:`graphs.dev_set`, at cost exactly
-    w_i, and every value is at most Y, so ``floor_i <= w_i + Y`` and
-    ``b'_i = min(b_i, floor_i) - w_i <= Y``.  A player on the target pays 0
-    on its zero-cost loop and keeps bound 0.
+    :func:`graphs.counter_step` with the deviation floors f_i as labels,
+    keeping the steps on which every new bound b'_i is at least
+    ``floor[c'_i]``.  Floor 0 keeps the whole graph.  The A* searches pass
+    ``Game.view.dist1``, the least a player at c'_i still pays; that drops
+    only nodes from which no target is coaccessible, by the argument of
+    :class:`spe.CounterExploration`: from ``b_i < dist1[c_i]``, ``b'_i <=
+    b_i - w_i < dist1[c'_i]``, down to a negative bound at the target.  No
+    bound exceeds Y, which the step asserts: the prescribed move is one of
+    the deviations of :func:`graphs.dev_set`, at cost exactly w_i, and
+    every value is at most Y, so ``f_i <= w_i + Y`` and ``b'_i = min(b_i,
+    f_i) - w_i <= Y``.  A player on the target pays 0 on its zero-cost loop
+    and keeps bound 0.
 
     Each configuration's joint steps are generated on its first expansion
     and kept for this successor function only; no configuration graph is
@@ -283,7 +291,6 @@ def _ne_successors(game: Game, values: ValueTable):
     """
     tgt = game.arena.tgt
     ceiling = values.ceiling
-    zeros = [0] * len(game.arena.states)
     joint_steps = game.view.joint_steps
     options: dict[Config, tuple] = {}  # per configuration: (steps, floors)
 
@@ -303,10 +310,10 @@ def _ne_successors(game: Game, values: ValueTable):
                         if cls not in floors:
                             floors[cls] = deviation_floor(game, values, config, nxt, i)
                         row[i] = floors[cls]
-                if counter_step(tgt, unbounded, [step], [row], zeros, ceiling):
+                if counter_step(tgt, unbounded, [step], [row], floor, ceiling):
                     steps.append(step)
                     rows.append(tuple(row))
-        return counter_step(tgt, node, *opts, zeros, ceiling)
+        return counter_step(tgt, node, *opts, floor, ceiling)
 
     return successors
 
@@ -320,7 +327,7 @@ def _explore_ne_graph(game: Game, values: ValueTable):
     found through a ``node -> node`` dict; the set gets the same inserts
     in the same order, so its iteration order (the Bellman-Ford
     numbering) is unchanged."""
-    successors = _ne_successors(game, values)
+    successors = _ne_successors(game, values, [0] * len(game.arena.states))
     budget = node_budget()
     start = _start_node(game)
     nodes = {start}
@@ -378,7 +385,9 @@ def _min_ne_search(game: Game, gamma, values: ValueTable, successors,
       at most Y by the argument of :func:`_ne_successors`, and
       ``b'_i <= b_i - w_i``; with gamma_i < 0 that gives
       ``gamma_i * b_i <= gamma_i * w_i + gamma_i * b'_i``.  Summed over the
-      players, ``h(u) <= z + h(v)``: every reduced cost is nonnegative;
+      players, ``h(u) <= z + h(v)``: every reduced cost is nonnegative.
+      That holds edge by edge, so also where a ``dist1`` floor drops the
+      nodes that reach no target, which leaves the optimum unchanged;
     - only the start has +inf bounds; it is popped first and never reached
       again (every successor has finite bounds), so the steps out of it
       need no such inequality;
@@ -452,7 +461,10 @@ def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
       of a node outside that set are all skipped.  The kept pushes thus
       happen in the same relative order, keys compare as before, nodes pop
       in the same relative order, and each node gets the same first optimal
-      predecessor as its parent.
+      predecessor as its parent.  Both searches skip the nodes below the
+      ``dist1`` floor of :func:`_ne_successors`; these reach only such
+      nodes, so none relaxes a node that reaches the target, and the kept
+      pushes keep their order.
     - **One target.** Entering the target configuration leaves every bound
       at 0, because the prescribed move is one of the deviations and the
       target's value is 0.  So the target node is unique, and popping it
@@ -477,7 +489,7 @@ def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
         values = compute_values(game)
     if min(gamma) >= 0:
         # The replay expands about the nodes the A* expanded.
-        successors = functools.cache(_ne_successors(game, values))
+        successors = functools.cache(_ne_successors(game, values, game.view.dist1))
         cost = _min_ne_search(game, gamma, values, successors)[0]
         replayed, witness = _min_ne_search(game, gamma, values, successors, cost)
         assert replayed == cost, "the replay must find the A* optimum"
@@ -523,7 +535,7 @@ def equilibrium_ratio(game: Game, worst: bool):
     values = compute_values(game)
     gamma = (-1 if worst else 1,) * game.n
     cost, witness = _min_ne_search(
-        game, gamma, values, _ne_successors(game, values)
+        game, gamma, values, _ne_successors(game, values, game.view.dist1)
     )
     assert check_ne_outcome(game, witness, values), (
         "witness from the equilibrium search must itself pass the outcome check"

@@ -341,6 +341,19 @@ def test_blind_ne_stops_at_the_node_budget(capsys, tmp_path, monkeypatch):
     assert answer == (3, "", "dyncong: blind-NE best responses above node budget\n")
 
 
+def test_poa_answers_under_a_budget_the_whole_bound_graph_exceeds(
+        capsys, tmp_path, monkeypatch):
+    # The PoA A* on grid4 n=2 once held about 3,000 bound nodes and exited 3
+    # at a budget of 1,000; the nodes that can still pay their way fit.
+    grid4 = tmp_path / "grid4.json"
+    grid4.write_text(serialize_arena(grid_arena(4)))
+    game = ("--arena", str(grid4), "--players", "2")
+    code, out, _ = invoke_raw(capsys, "poa", *game)
+    assert code == 0
+    monkeypatch.setenv("DYNCONG_NODE_BUDGET", "1000")
+    assert invoke_raw(capsys, "poa", *game)[:2] == (0, out)
+
+
 # The child caps its own address space, so a list that outgrows the budget
 # ends in MemoryError tracebacks (exit 1) there instead of filling the
 # machine, and exits 99 when the command takes a second or more.

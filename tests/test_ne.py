@@ -275,24 +275,32 @@ def _full_graph_min_ne(game, gamma, values):
     return cheapest_outcome(game, start, nodes, edges, gamma, targets)
 
 
+def _floors(game):
+    """The whole bound graph (floor 0) and the part whose bounds still cover
+    ``dist1`` (the floor of the A* searches)."""
+    return [0] * len(game.arena.states), game.view.dist1
+
+
 def test_best_ne_search_matches_full_graph_search():
-    # Cost and witness of the A* plus bounded Dijkstra replay equal the
-    # full-graph Dijkstra's, ties included, for nonnegative gamma.
+    # Cost and witness of the pruned A* plus bounded Dijkstra replay equal
+    # the full-graph Dijkstra's, ties included, for nonnegative gamma.
     for k, game in enumerate(differential_games()):
         values = compute_values(game)
         n = game.n
-        for gamma in {(1,) * n, (0,) + (1,) * (n - 1), (2,) + (1,) * (n - 1)}:
+        for gamma in {(1,) * n, (0,) + (1,) * (n - 1), (2,) + (1,) * (n - 1),
+                      tuple(range(1, n + 1))}:
             expected = _full_graph_min_ne(game, gamma, values)
             assert gamma_min_ne(game, gamma, values) == expected, (k, gamma)
             assert ne._min_ne_search(
-                game, gamma, values, ne._ne_successors(game, values)
+                game, gamma, values, ne._ne_successors(game, values, _floors(game)[0])
             )[0] == expected[0], (k, gamma)
 
 
 def test_min_ne_search_matches_full_graph_search_for_every_sign():
     # The A* under the bound-aware heuristic finds the full-graph optimum
     # for negative, mixed and nonnegative gamma, with a witness that is an
-    # equilibrium outcome of exactly that gamma-cost.
+    # equilibrium outcome of exactly that gamma-cost, both over the whole
+    # bound graph and over the nodes that can still pay their way.
     for k, game in enumerate(differential_games()):
         values = compute_values(game)
         n = game.n
@@ -302,16 +310,37 @@ def test_min_ne_search_matches_full_graph_search_for_every_sign():
             (node for node in nodes if node[0] == tgt), key=lambda node: node != start
         )
         alternating = tuple((-1) ** i for i in range(n))
-        gammas = {(-1,) * n, alternating, tuple(-g for g in alternating), (1,) * n}
+        gammas = {(-1,) * n, alternating, tuple(-g for g in alternating), (1,) * n,
+                  tuple(range(1, n + 1))}
         for gamma in gammas:
             expected, _ = cheapest_outcome(game, start, nodes, edges, gamma, targets)
-            cost, witness = ne._min_ne_search(
-                game, gamma, values, ne._ne_successors(game, values)
-            )
-            assert cost == expected, (k, gamma)
-            assert check_ne_outcome(game, witness, values), (k, gamma)
-            assert sum(g * witness.cost(i) for i, g in enumerate(gamma)) == cost, (k, gamma)
+            for floor in _floors(game):
+                cost, witness = ne._min_ne_search(
+                    game, gamma, values, ne._ne_successors(game, values, floor)
+                )
+                assert cost == expected, (k, gamma, floor)
+                assert check_ne_outcome(game, witness, values), (k, gamma, floor)
+                assert sum(g * witness.cost(i) for i, g in enumerate(gamma)) == cost, (
+                    k, gamma, floor)
 
+
+def test_ratio_search_expands_only_nodes_that_can_pay_their_way(monkeypatch):
+    # The PoA A* on grid4 n=2 expanded 2,945 nodes of the whole bound graph;
+    # skipping nodes whose bound is below ``dist1`` leaves it 14.
+    expanded = []
+    make = ne._ne_successors
+
+    def counting(*args):
+        successors = make(*args)
+
+        def wrapper(node):
+            expanded.append(node)
+            return successors(node)
+        return wrapper
+
+    monkeypatch.setattr(ne, "_ne_successors", counting)
+    assert ne.equilibrium_ratio(Game(grid_arena(4), 2), worst=True)[:2] == (23, 27)
+    assert 0 < len(expanded) < 100
 
 
 def test_ne_graph_edges_hold_one_object_per_node():
@@ -326,7 +355,7 @@ def test_ne_graph_edges_hold_one_object_per_node():
     held = {id(u) for u, _, _ in edges} | {id(v) for _, _, v in edges}
     assert len(held) <= len(nodes)
     assert held <= {id(node) for node in nodes}
-    successors = ne._ne_successors(game, values)
+    successors = ne._ne_successors(game, values, _floors(game)[0])
     plain_nodes, plain_edges, frontier = {start}, [], [start]
     while frontier:
         node = frontier.pop()
@@ -387,14 +416,23 @@ def test_one_sweep_values_match_reference_tables():
 
 def test_ne_successors_match_reference():
     # Floors shared per deviation class give the same successor lists, in
-    # order, at every node of the bound-augmented graph.
+    # order, at every node of the bound-augmented graph.  With the ``dist1``
+    # floor of the A* searches, a list keeps, in order, the successors whose
+    # every bound covers ``dist1`` of its player's state.
     for k, game in enumerate(_table_games()):
         values = compute_values(game)
-        successors = ne._ne_successors(game, values)
+        zeros, dist1 = _floors(game)
+        successors = ne._ne_successors(game, values, zeros)
+        pruned = ne._ne_successors(game, values, dist1)
         reference = ne_reference.ne_successors(game, values)
         _, nodes, _ = ne._explore_ne_graph(game, values)
         for node in nodes:
-            assert successors(node) == reference(node), (k, node)
+            listed = reference(node)
+            assert successors(node) == listed, (k, node)
+            assert pruned(node) == [
+                (nxt, weights) for nxt, weights in listed
+                if all(b >= dist1[s] for s, b in zip(*nxt))
+            ], (k, node)
 
 
 def test_deviation_floor_matches_min_over_dev_set():
