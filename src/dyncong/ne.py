@@ -6,22 +6,24 @@ they can force on player i from configuration c is the zero-sum value of c
 for i.  :func:`check_ne_outcome` decides from these values alone, with no
 punishing strategy profile built.  Since the game is symmetric, that value
 only depends on the player's own state and the multiset of coalition
-positions, so one value table serves every player.  :func:`compute_values`
-solves it by in-place sweeps over integer-indexed value states in order of
-hop distance to the target (``Arena.hops``), reading each edge cost from
-the game's cost rows (``Game.view``); a sweep that changes nothing is the
-greatest fixpoint, and on an arena where every edge off the target leads
-one hop closer the first sweep already is, so it stops there (see its
-docstring).  Optimal
-(best or worst) Nash equilibria come from a shortest-path search over the
-configuration graph augmented with per-player residual bounds that encode
-"no pending deviation is profitable".  Its
-successors are generated on demand from each configuration's joint steps,
-with no configuration graph built first.  The on-demand search is A* for every
-gamma, under a heuristic that charges the load-one distance to the target for
-a nonnegative weight and the residual bound for a negative one
-(:func:`_min_ne_search`).  It skips every node where some bound is below
-that distance, since such a node reaches no target (:func:`_ne_successors`).
+positions, so one value table serves every player.  The NE solvers table
+only the coalition multisets reachable from the start's, which hold every
+entry their plays read; ``values`` prints the whole table.
+:func:`compute_values` solves it by in-place sweeps over integer-indexed
+value states in order of hop distance to the target (``Arena.hops``),
+reading each edge cost from the game's cost rows (``Game.view``); a sweep
+that changes nothing is the greatest fixpoint, and on an arena where every
+edge off the target leads one hop closer the first sweep already is, so it
+stops there (see its docstring).  Optimal (best or worst) Nash equilibria
+come from a shortest-path search over the configuration graph augmented
+with per-player residual bounds that encode "no pending deviation is
+profitable".  Its successors are generated on demand from each
+configuration's joint steps, with no configuration graph built first.  The
+on-demand search is A* for every gamma, under a heuristic that charges the
+load-one distance to the target for a nonnegative weight and the residual
+bound for a negative one (:func:`_min_ne_search`).  It skips every node
+where some bound is below that distance, since such a node reaches no
+target (:func:`_ne_successors`).
 PoA and PoS need only its cost; a best NE
 (gamma >= 0) takes its witness from a bounded replay of the full-graph
 Dijkstra, which skips the same nodes.  A witness for a negative weight
@@ -33,11 +35,11 @@ graph holds one object per node, which every edge into it shares
 and returns a chain of nodes, whose configurations make the witness; its
 sweeps scan only the nodes whose distance fell, which keeps every
 tie-break (:func:`graphs.shortest_path`).  Each deviation floor is computed
-once per deviation class of a configuration, and a node's successor bounds
-come from the counter step the SPE counter graphs take too
-(:func:`graphs.counter_step`), with the floors as labels.  Every command
-builds the table once and runs one such search, PoA and PoS included
-(:func:`equilibrium_ratio`).
+once per search, for its deviation class (the player's state and the
+others' moves), and a node's successor bounds come from the counter step
+the SPE counter graphs take too (:func:`graphs.counter_step`), with the
+floors as labels.  Every command builds the table once and runs one such
+search, PoA and PoS included (:func:`equilibrium_ratio`).
 """
 
 from __future__ import annotations
@@ -94,8 +96,20 @@ def _coalition_states(game: Game):
         yield parikh(game, combo)
 
 
-def compute_values(game: Game) -> ValueTable:
+def compute_values(game: Game, reachable: bool = False) -> ValueTable:
     """Ordered in-place value iteration for the sup-inf deviation values.
+
+    The table holds every multiset of coalition positions, or with
+    ``reachable`` only those R reachable from the start's coalition (n - 1
+    players at the source), each with every own state; the NE solvers ask
+    for the latter.  R x V is closed under the value game's moves, since
+    the coalition's successor is a distribution of its own multiset, so
+    the equations there read nothing outside it: the sweeps below reach
+    the same greatest fixpoint on it, entry by entry, and the one-sweep
+    argument holds there too.  Every key a search or check reads is
+    ``(own, counts(nxt - i))`` for a step cur => nxt of a play from the
+    initial configuration; the coalition nxt - i is a successor of cur -
+    i, so by induction on the play it is in R.
 
     One step resolves as: the coalition commits to an edge distribution, then
     the player, who can read the coalition strategy, picks their own edge;
@@ -140,21 +154,33 @@ def compute_values(game: Game) -> ValueTable:
     budget = node_budget()
     out, edges = game.view.out, arena.edge_list
 
+    # Coalition states by id.  Each one added counts its row's moves, the
+    # product over its occupied states of the ways C(c + d - 1, c) to spread
+    # c players over d out-edges, before any row past it is built; the
+    # value-table states and these moves are both held to the node budget.
     all_counts: list[tuple[int, ...]] = []
-    for counts in _coalition_states(game):
+    count_index: dict[tuple[int, ...], int] = {}
+    work = 0
+
+    def add(counts):
+        nonlocal work
         if (len(all_counts) + 1) * num_states > budget:
             raise BudgetExceeded("value-table state space above node budget")
+        work += math.prod(math.comb(c + len(out[v]) - 1, c)
+                          for v, c in enumerate(counts) if c)
+        count_index[counts] = len(all_counts)
         all_counts.append(counts)
-    count_index = {counts: ci for ci, counts in enumerate(all_counts)}
-    total = len(all_counts) * num_states
+        return count_index[counts]
+
+    for counts in ([parikh(game, initial_config(game)[1:])] if reachable
+                   else _coalition_states(game)):
+        add(counts)
 
     # Per coalition state: (per-edge coalition loads, successor id base) for
-    # each coalition distribution, the product over the occupied states of
-    # the ways to spread their players over their out-edges, each spread
-    # listed once as (edge id, count) pairs.  Their number, the product of
-    # the per-state counts C(c + d - 1, d - 1) summed over the rows, is held
-    # to the node budget before any row is built; no spread list is longer
-    # than the number of coalition states, which passed it.
+    # each coalition distribution, each per-state spread listed once as
+    # (edge id, count) pairs; no spread list is longer than its row.  The
+    # list grows while it is read when ``reachable``: a successor met first
+    # is added, a breadth-first closure.
     @functools.cache
     def spreads(v, count):
         return [
@@ -162,11 +188,10 @@ def compute_values(game: Game) -> ValueTable:
             for combo in compositions(count, len(out[v]))
         ]
 
-    if sum(math.prod(len(spreads(v, c)) for v, c in enumerate(counts) if c)
-           for counts in all_counts) > budget:
-        raise BudgetExceeded("value-table moves above node budget")
     moves: list[list[tuple[tuple[int, ...], int]]] = []
     for counts in all_counts:
+        if work > budget:
+            raise BudgetExceeded("value-table moves above node budget")
         row = []
         for parts in itertools.product(
             *[spreads(v, c) for v, c in enumerate(counts) if c]
@@ -176,8 +201,13 @@ def compute_values(game: Game) -> ValueTable:
             for k, c in itertools.chain(*parts):
                 loads[k] = c
                 nxt[edges[k][1]] += c
-            row.append((tuple(loads), count_index[tuple(nxt)] * num_states))
+            key = tuple(nxt)
+            ci = count_index.get(key)
+            if ci is None:
+                ci = add(key)
+            row.append((tuple(loads), ci * num_states))
         moves.append(row)
+    total = len(all_counts) * num_states
 
     hops = arena.hops
     layered = all(hops[v] < hops[u] for u, v in arena.edges if u != tgt)
@@ -236,7 +266,7 @@ def check_ne_outcome(game: Game, path: OutcomePath, values: ValueTable | None = 
     """
     check_outcome_shape(game, path)
     if values is None:
-        values = compute_values(game)
+        values = compute_values(game, reachable=True)
     return label_consistent(path, functools.partial(deviation_floor, game, values))
 
 
@@ -281,32 +311,43 @@ def _ne_successors(game: Game, values: ValueTable, floor):
     f_i) - w_i <= Y``.  A player on the target pays 0 on its zero-cost loop
     and keeps bound 0.
 
-    Each configuration's joint steps are generated on its first expansion
-    and kept for this successor function only; no configuration graph is
-    built beforehand.  A deviation floor depends on the transition only
-    through the other players' moves, so it is computed once per deviation
-    class ``(player, nxt without the player)`` of the configuration.  Only
-    the steps open from the all-+inf node are kept, with their floors: a
-    bound only falls, so a step closed there is closed from every node.
+    Each configuration's joint steps are generated on its first expansion,
+    after their number is held to the node budget, and kept for this
+    successor function only; no configuration graph is built beforehand.
+    :func:`deviation_floor` reads only the player's state, the heads of the
+    others who leave it and the others' next states, all fixed by the
+    player's state and the multiset of the others' ``(from, to)`` moves.
+    So each floor is computed once per successor function, for the
+    deviation class ``(config[i], sorted moves of the others)``, whichever
+    player or configuration meets it; a move u -> v is coded ``u * |V| +
+    v``.  Only the steps open from the all-+inf node are kept, with their
+    floors: a bound only falls, so a step closed there is closed from every
+    node.
     """
     tgt = game.arena.tgt
     ceiling = values.ceiling
-    joint_steps = game.view.joint_steps
+    out, joint_steps = game.view.out, game.view.joint_steps
+    size, budget = len(out), node_budget()
     options: dict[Config, tuple] = {}  # per configuration: (steps, floors)
+    floors = {}  # per deviation class
 
     def successors(node):
         config = node[0]
         opts = options.get(config)
         if opts is None:
+            if math.prod(len(out[s]) for s in config) > budget:
+                raise BudgetExceeded("equilibrium graph above node budget")
             unbounded = (config, (INF,) * len(config))
             steps, rows = opts = options[config] = [], []
-            floors = {}  # per deviation class (player, nxt without them)
             for step in joint_steps(config):
                 nxt = step[0]
+                codes = [u * size + v for u, v in zip(config, nxt)]
+                moves = sorted(codes)
                 row = [0] * len(config)
-                for i, state in enumerate(config):
-                    if state != tgt:
-                        cls = (i, nxt[:i] + nxt[i + 1:])
+                for i, code in enumerate(codes):
+                    if config[i] != tgt:
+                        k = moves.index(code)
+                        cls = (config[i], *moves[:k], *moves[k + 1:])
                         if cls not in floors:
                             floors[cls] = deviation_floor(game, values, config, nxt, i)
                         row[i] = floors[cls]
@@ -486,7 +527,7 @@ def gamma_min_ne(game: Game, gamma, values: ValueTable | None = None):
     if len(gamma) != game.n:
         raise SemanticsError("gamma must have one weight per player")
     if values is None:
-        values = compute_values(game)
+        values = compute_values(game, reachable=True)
     if min(gamma) >= 0:
         # The replay expands about the nodes the A* expanded.
         successors = functools.cache(_ne_successors(game, values, game.view.dist1))
@@ -532,7 +573,7 @@ def equilibrium_ratio(game: Game, worst: bool):
     from fractions import Fraction
 
     optimum = social_optimum(game).cost
-    values = compute_values(game)
+    values = compute_values(game, reachable=True)
     gamma = (-1 if worst else 1,) * game.n
     cost, witness = _min_ne_search(
         game, gamma, values, _ne_successors(game, values, game.view.dist1)

@@ -425,19 +425,41 @@ def _fan_arena_file(tmp_path, width):
 
 
 @pytest.mark.parametrize("command, players, budget", [
-    ("values", 8, 200_000), ("poa", 6, 20_100),
+    ("values", 8, 200_000), ("poa", 6, 20),
 ])
 def test_value_table_moves_stay_under_the_node_budget(
         capsys, tmp_path, monkeypatch, command, players, budget):
-    # On an 8-way fan, 8 players give 114,400 value states, under the
-    # budget, and 245,157 coalition moves, over it (12 players: 13,037,895,
-    # a MemoryError under a 2 GB address-space cap); 6 players give 20,020
-    # and 20,349.  ``poa`` runs with 6, because past a table it would list
-    # the 8**8 joint steps of the source.
+    # ``values`` tables every coalition state: on an 8-way fan, 8 players
+    # give 114,400 value states, under the budget, and 245,157 coalition
+    # moves, over it (12 players: 13,037,895, a MemoryError under a 2 GB
+    # address-space cap).  ``poa`` tables only the coalition states its
+    # plays reach, here on a source with a wait loop and one edge to the
+    # target.  The 5 others of 6 players reach j at the source and 5 - j at
+    # the target, j = 0..5: 6 coalition states and 12 value states, under a
+    # budget of 20, with j + 1 moves each, 1 + 2 + ... + 6 = 21, over it.
+    # The social optimum fits first: 6 players on 3 edges give 18 cost-table
+    # entries, and at the source 7 options and 7 nodes.
+    if command == "values":
+        arena = _fan_arena_file(tmp_path, 8)
+    else:
+        arena = tmp_path / "wait.json"
+        arena.write_text(serialize_arena(build_arena(
+            ["s", "t"], [("s", "s", constant(1)), ("s", "t", constant(1))],
+            "s", "t")))
     monkeypatch.setenv("DYNCONG_NODE_BUDGET", str(budget))
-    answer = invoke_raw(capsys, command, "--arena", _fan_arena_file(tmp_path, 8),
+    answer = invoke_raw(capsys, command, "--arena", str(arena),
                         "--players", str(players))
     assert answer == (3, "", "dyncong: value-table moves above node budget\n")
+
+
+def test_joint_steps_stay_under_the_node_budget(tmp_path):
+    # 9 players on an 8-way fan have 8**9, about 1.3e8, joint steps from
+    # the source: more than the default budget of 10**7, so the equilibrium
+    # search refuses to list them (the table it reaches fits).
+    proc = _run_capped("poa", "--arena", _fan_arena_file(tmp_path, 8),
+                       "--players", "9")
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr[-2000:]
+    assert proc.stderr == "dyncong: equilibrium graph above node budget\n"
 
 
 @pytest.mark.parametrize("command", [["so"], ["so", "--bound", "2"], ["pos"]],

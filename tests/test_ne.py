@@ -483,3 +483,66 @@ def test_check_ne_outcome_matches_brute_force_on_ne_gap_games():
         profile, _ = blind_ne(game)
         _, _, path = play_profile(game, profile)
         assert check_ne_outcome(game, path, values), k
+
+
+def test_reachable_value_table_is_exact(monkeypatch):
+    # The NE solvers table only the coalition states that plays from the
+    # start reach, with every own state.  Each such entry equals the whole
+    # table's, and where the two tables differ, the searches and checks give
+    # the same costs, witnesses and verdicts over either; a key outside the
+    # reachable table would raise.  Where they are equal, so is every answer.
+    # The plays of at most 4 steps on the 15 games where they differ hold
+    # 170 equilibrium outcomes and 435 other plays.
+    arenas = (fig1_arena(), fig5_arena(), grid_arena(3), grid_arena(4))
+    games = differential_games() + [Game(a, n) for a in arenas for n in range(1, 5)]
+    solve = ne.compute_values
+    shrunk = 0
+    for k, game in enumerate(games):
+        whole = solve(game)
+        part = solve(game, reachable=True)
+        assert part.ceiling == whole.ceiling, k
+        assert part.values.items() <= whole.values.items(), k
+        coalitions = {counts for _, counts in part.values}
+        assert len(part.values) == len(coalitions) * len(game.arena.states), k
+        if part.values == whole.values:
+            continue
+        shrunk += 1
+        n = game.n
+        alternating = tuple((-1) ** i for i in range(n))
+        for gamma in {(1,) * n, (-1,) * n, alternating, tuple(range(1, n + 1))}:
+            found = gamma_min_ne(game, gamma, part)
+            assert gamma_min_ne(game, gamma, whole) == found, (k, gamma)
+        for path in _plays_to_target(game, 4):
+            verdict = check_ne_outcome(game, path, part)
+            assert check_ne_outcome(game, path, whole) == verdict, (k, path)
+        ratios = [ne.equilibrium_ratio(game, worst) for worst in (True, False)]
+        monkeypatch.setattr(ne, "compute_values", lambda game, reachable=False: whole)
+        assert [ne.equilibrium_ratio(game, worst) for worst in (True, False)] == ratios, k
+        monkeypatch.setattr(ne, "compute_values", solve)
+    assert shrunk >= 10
+
+
+def test_ne_best_reads_a_small_table_and_few_floors(monkeypatch, capsys, tmp_path):
+    # On fig5 n=6 the whole value table holds 6,336 states, and ``ne --best``
+    # once computed 6,162 deviation floors, once per class of each
+    # configuration it expanded.  Its plays reach 160 value states, and
+    # floors keyed by the player's state and the others' moves number 115.
+    tables, floors = [], []
+    solve, floor = ne.compute_values, ne.deviation_floor
+
+    def counting_values(*args, **kwargs):
+        table = solve(*args, **kwargs)
+        tables.append(len(table.values))
+        return table
+
+    def counting_floor(*args):
+        floors.append(args)
+        return floor(*args)
+
+    monkeypatch.setattr(ne, "compute_values", counting_values)
+    monkeypatch.setattr(ne, "deviation_floor", counting_floor)
+    arena = tmp_path / "fig5.json"
+    arena.write_text(serialize_arena(fig5_arena()))
+    assert run(["ne", "--best", "--arena", str(arena), "--players", "6"]) == 0
+    assert len(tables) == 1 and 0 < tables[0] < 200
+    assert 0 < len(floors) < 200
