@@ -167,37 +167,42 @@ def cmd_eval(args):
 
 
 def _emit_values(command: str, arena: Arena, values: dict, args) -> None:
-    """Emits ``{"command": command, "values": [...]}``, entries in key
-    order, byte for byte as :func:`run` prints a payload, from text pieces:
+    """Emits ``{"command": command, "values": [...]}``, each coalition as
+    its per-state counts, entries in ascending order of own state, then of
+    the coalition's count vector (descending order of its sorted states),
+    byte for byte as :func:`run` prints a payload, from text pieces:
     the text around an entry's fields is cut out of one dump with two
-    placeholder entries, and each state, coalition and distinct value is dumped once
-    (a coalition re-indented to its depth).  Chunks of 1,024 entries are
-    written as they are joined, so the whole table is never one string."""
+    placeholder entries, and each state, coalition and distinct value is
+    dumped once (a coalition re-indented to its depth).  The table holds
+    every own state with every coalition, so the entries are walked in that
+    order with no list of keys; about 1,024 entries are written at a time,
+    so the whole table is never one string."""
     indent = 2 if args.format == "pretty" else None
     entry = {"state": None, "coalition": None, "value": None}
     head, to_coalition, to_value, sep, _, _, tail = json.dumps(
         {"command": command, "values": [entry, entry]}, indent=indent
     ).split("null")
     pad = "\n" + " " * 3 * (indent or 0)
-    states = [json.dumps(name) for name in arena.states]
-    coalitions, texts = {}, {}
-    keys = sorted(values)
-    for k in range(0, len(keys), 1024):
-        pieces = [head if k == 0 else sep]
-        for own, counts in keys[k:k + 1024]:
-            coalition = coalitions.get(counts)
-            if coalition is None:
-                coalition = coalitions[counts] = json.dumps(
-                    {arena.states[v]: c for v, c in enumerate(counts) if c},
-                    indent=indent).replace("\n", pad)
-            value = values[(own, counts)]
+    coalitions = [
+        (others, json.dumps({arena.states[v]: others.count(v) for v in others},
+                            indent=indent).replace("\n", pad))
+        for others in sorted({others for _, others in values}, reverse=True)
+    ]
+    texts = {}
+    pieces, lead = [head], ""
+    for own, name in enumerate(arena.states):
+        state = json.dumps(name)
+        for others, coalition in coalitions:
+            value = values[(own, others)]
             text = texts.get(value)
             if text is None:
                 text = texts[value] = json.dumps(_jsonable(value))
-            pieces += (states[own], to_coalition, coalition, to_value, text, sep)
-        pieces[-1] = ""
-        sys.stdout.write("".join(pieces))
-    sys.stdout.write(tail + "\n")
+            pieces += (lead, state, to_coalition, coalition, to_value, text)
+            lead = sep
+            if len(pieces) > 6 * 1024:
+                sys.stdout.write("".join(pieces))
+                pieces = []
+    sys.stdout.write("".join(pieces) + tail + "\n")
 
 
 def cmd_values(args):

@@ -62,7 +62,6 @@ from .graphs import (
     dev_set,
     initial_config,
     node_budget,
-    parikh,
     target_config,
 )
 from .outcome import (
@@ -73,7 +72,8 @@ from .outcome import (
 )
 from .socopt import social_optimum
 
-ValueState = tuple[int, tuple[int, ...]]  # (own state, coalition counts)
+# (own state, the other n - 1 players' states in ascending order)
+ValueState = tuple[int, tuple[int, ...]]
 
 
 class ValueTable:
@@ -88,14 +88,6 @@ class ValueTable:
         self.values, self.ceiling = values, ceiling
 
 
-def _coalition_states(game: Game):
-    """The coalition's per-state head counts, one per multiset of the other
-    n - 1 players' states."""
-    states = range(len(game.arena.states))
-    for combo in itertools.combinations_with_replacement(states, game.n - 1):
-        yield parikh(game, combo)
-
-
 def compute_values(game: Game, reachable: bool = False) -> ValueTable:
     """Ordered in-place value iteration for the sup-inf deviation values.
 
@@ -107,21 +99,23 @@ def compute_values(game: Game, reachable: bool = False) -> ValueTable:
     the equations there read nothing outside it: the sweeps below reach
     the same greatest fixpoint on it, entry by entry, and the one-sweep
     argument holds there too.  Every key a search or check reads is
-    ``(own, counts(nxt - i))`` for a step cur => nxt of a play from the
+    ``(own, sorted(nxt - i))`` for a step cur => nxt of a play from the
     initial configuration; the coalition nxt - i is a successor of cur -
     i, so by induction on the play it is in R.
 
     One step resolves as: the coalition commits to an edge distribution, then
     the player, who can read the coalition strategy, picks their own edge;
     the player pays their edge's cost at one plus the coalition load on that
-    same edge.  Value state ``(own, counts)`` has integer id
-    ``count_index * |V| + own``; each player edge's cost is read from the
-    game's cost row ``(d(1), ..., d(n))`` (``Game.view``), indexed by the
-    coalition load.
+    same edge.  A coalition is keyed by its n - 1 states in ascending
+    order, the tuples ``itertools.combinations_with_replacement`` yields,
+    so no key grows with |V|.  Value state ``(own, coalition)`` has integer
+    id ``coalition_index * |V| + own``; each player edge's cost is read from
+    the game's cost row ``(d(1), ..., d(n))`` (``Game.view``), indexed by
+    the coalition load.
 
     Values start at +inf off the target (0 on it) and are updated in place
     (Gauss-Seidel), each sweep visiting the non-target states in ascending
-    order of ``hops(own) + sum(counts[v] * hops(v))``, the hop distances to
+    order of ``hops(own) + sum(hops(v) for v in coalition)``, hop distances to
     the target (``Arena.hops``), so that one sweep carries values back along
     short routes.  The iteration stops after the first sweep that changes
     nothing.  This is the same fixpoint the Jacobi iteration reaches: the
@@ -158,23 +152,27 @@ def compute_values(game: Game, reachable: bool = False) -> ValueTable:
     # product over its occupied states of the ways C(c + d - 1, c) to spread
     # c players over d out-edges, before any row past it is built; the
     # value-table states and these moves are both held to the node budget.
-    all_counts: list[tuple[int, ...]] = []
-    count_index: dict[tuple[int, ...], int] = {}
+    coalitions: list[tuple[int, ...]] = []
+    coalition_index: dict[tuple[int, ...], int] = {}
     work = 0
 
-    def add(counts):
+    def occupied(coalition):  # (state, head count), ascending
+        return [(v, len(list(run))) for v, run in itertools.groupby(coalition)]
+
+    def add(coalition):
         nonlocal work
-        if (len(all_counts) + 1) * num_states > budget:
+        if (len(coalitions) + 1) * num_states > budget:
             raise BudgetExceeded("value-table state space above node budget")
         work += math.prod(math.comb(c + len(out[v]) - 1, c)
-                          for v, c in enumerate(counts) if c)
-        count_index[counts] = len(all_counts)
-        all_counts.append(counts)
-        return count_index[counts]
+                          for v, c in occupied(coalition))
+        coalition_index[coalition] = len(coalitions)
+        coalitions.append(coalition)
+        return coalition_index[coalition]
 
-    for counts in ([parikh(game, initial_config(game)[1:])] if reachable
-                   else _coalition_states(game)):
-        add(counts)
+    for coalition in ([initial_config(game)[1:]] if reachable else
+                      itertools.combinations_with_replacement(
+                          range(num_states), game.n - 1)):
+        add(coalition)
 
     # Per coalition state: (per-edge coalition loads, successor id base) for
     # each coalition distribution, each per-state spread listed once as
@@ -189,32 +187,32 @@ def compute_values(game: Game, reachable: bool = False) -> ValueTable:
         ]
 
     moves: list[list[tuple[tuple[int, ...], int]]] = []
-    for counts in all_counts:
+    for coalition in coalitions:
         if work > budget:
             raise BudgetExceeded("value-table moves above node budget")
         row = []
         for parts in itertools.product(
-            *[spreads(v, c) for v, c in enumerate(counts) if c]
+            *[spreads(v, c) for v, c in occupied(coalition)]
         ):
             loads = [0] * len(edges)
-            nxt = [0] * num_states
+            heads = []
             for k, c in itertools.chain(*parts):
                 loads[k] = c
-                nxt[edges[k][1]] += c
-            key = tuple(nxt)
-            ci = count_index.get(key)
+                heads += [edges[k][1]] * c
+            key = tuple(sorted(heads))
+            ci = coalition_index.get(key)
             if ci is None:
                 ci = add(key)
             row.append((tuple(loads), ci * num_states))
         moves.append(row)
-    total = len(all_counts) * num_states
+    total = len(coalitions) * num_states
 
     hops = arena.hops
     layered = all(hops[v] < hops[u] for u, v in arena.edges if u != tgt)
-    count_hops = [sum(c * h for c, h in zip(counts, hops)) for counts in all_counts]
+    coalition_hops = [sum(hops[v] for v in c) for c in coalitions]
     order = sorted(
         (s for s in range(total) if s % num_states != tgt),
-        key=lambda s: (hops[s % num_states] + count_hops[s // num_states], s),
+        key=lambda s: (hops[s % num_states] + coalition_hops[s // num_states], s),
     )
     sweep = [(s, out[s % num_states], moves[s // num_states]) for s in order]
 
@@ -245,14 +243,14 @@ def compute_values(game: Game, reachable: bool = False) -> ValueTable:
         raise AssertionError("value iteration missed its convergence cap")
 
     table: dict[ValueState, int] = {}
-    for ci, counts in enumerate(all_counts):
+    for ci, coalition in enumerate(coalitions):
         for own in range(num_states):
             value = values[ci * num_states + own]
             assert value != INF, (
                 "infinite fixpoint value: the player alone controls reachability"
             )
             assert value <= ceiling, "fixpoint value above the |V|*kappa ceiling"
-            table[(own, counts)] = int(value)
+            table[(own, coalition)] = int(value)
     return ValueTable(values=table, ceiling=ceiling)
 
 
@@ -275,14 +273,11 @@ def deviation_floor(game: Game, values: ValueTable, config: Config,
     """Least cost ``player`` can secure by deviating from config => nxt.
 
     Each deviation of :func:`graphs.dev_set` pays its step cost, then faces
-    the coalition's value at the deviated configuration.  The coalition
-    counts are those of ``nxt`` without the player, whatever the deviation,
-    so they are counted once.
+    the coalition's value at the deviated configuration.  The coalition is
+    ``nxt`` without the player, whatever the deviation, so its sorted key
+    is built once.
     """
-    counts = [0] * len(game.arena.states)
-    for state in nxt[:player] + nxt[player + 1:]:
-        counts[state] += 1
-    key = tuple(counts)
+    key = tuple(sorted(nxt[:player] + nxt[player + 1:]))
     return min(cost + values.values[(dev[player], key)]
                for dev, cost in dev_set(game, config, nxt, player))
 

@@ -116,7 +116,8 @@ def brute_values(game: Game, horizon: int):
     The coalition announces a joint distribution, the player answers with an
     edge; +inf where the player cannot be sure to reach the target within the
     horizon.  Exact wherever the player can force arrival within ``horizon``
-    steps.
+    steps.  Keyed by ``(own, coalition)``, the coalition the other n - 1
+    players' states in ascending order.
     """
     from .graphs import distributions
 
@@ -154,7 +155,7 @@ def brute_values(game: Game, horizon: int):
             counts[s] += 1
         counts = tuple(counts)
         for own in range(num_states):
-            table[(own, counts)] = value(own, counts, horizon)
+            table[(own, combo)] = value(own, counts, horizon)
     return table
 
 
@@ -180,16 +181,12 @@ def brute_ne_outcomes(game: Game, max_steps: int, horizon: int | None = None):
     seen = 0
 
     def suffix_ok(path):
-        num_states = len(arena.states)
         configs = path.configs()
         for cur, nxt, suffix in zip(configs, configs[1:], path.suffix_costs()):
             for i in range(game.n):
                 for dev, dev_cost in dev_set(game, cur, nxt, i):
-                    counts = [0] * num_states
-                    for j, s in enumerate(dev):
-                        if j != i:
-                            counts[s] += 1
-                    bound = dev_cost + values[(dev[i], tuple(counts))]
+                    others = tuple(sorted(dev[:i] + dev[i + 1:]))
+                    bound = dev_cost + values[(dev[i], others)]
                     if suffix[i] > bound:
                         return False
         return True

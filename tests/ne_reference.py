@@ -1,14 +1,19 @@
 """Earlier implementations of the NE tables, kept as differential references.
 
-``compute_values`` builds its coalition move table from
-``graphs.distributions``; ``deviation_floor`` takes the minimum over
-``graphs.dev_set``, reading each deviation's coalition value from a count
-key rebuilt per deviation; ``ne_successors`` calls it once per player and
-transition.  The solvers in ``dyncong.ne`` must reproduce all three exactly,
-dict and list order included.
+``compute_values`` enumerates the coalitions as per-state count vectors
+and builds its move table from ``graphs.distributions`` over them; only
+when it fills the ``ValueTable`` does it map each count vector to the
+table's key, the coalition's states in ascending order.
+``deviation_floor`` takes the minimum over ``graphs.dev_set``, reading each
+deviation's coalition value from a sorted key rebuilt per deviation;
+``ne_successors`` calls it once per player and transition.  The solvers in
+``dyncong.ne`` must reproduce all three exactly, dict and list order
+included.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from dyncong.costfn import kappa
 from dyncong.graphs import (
@@ -17,9 +22,10 @@ from dyncong.graphs import (
     dev_set,
     distributions,
     node_budget,
+    parikh,
     reachable_graph,
 )
-from dyncong.ne import ValueTable, _coalition_states
+from dyncong.ne import ValueTable
 
 
 def compute_values(game):
@@ -30,10 +36,12 @@ def compute_values(game):
     budget = node_budget()
 
     all_counts: list[tuple[int, ...]] = []
-    for counts in _coalition_states(game):
+    for combo in itertools.combinations_with_replacement(
+        range(num_states), game.n - 1
+    ):
         if (len(all_counts) + 1) * num_states > budget:
             raise BudgetExceeded("value-table state space above node budget")
-        all_counts.append(counts)
+        all_counts.append(parikh(game, combo))
     count_index = {counts: ci for ci, counts in enumerate(all_counts)}
     total = len(all_counts) * num_states
 
@@ -93,26 +101,23 @@ def compute_values(game):
 
     table: dict = {}
     for ci, counts in enumerate(all_counts):
+        coalition = tuple(v for v, c in enumerate(counts) for _ in range(c))
         for own in range(num_states):
             value = values[ci * num_states + own]
             assert value != INF
             assert value <= ceiling
-            table[(own, counts)] = int(value)
+            table[(own, coalition)] = int(value)
     return ValueTable(values=table, ceiling=ceiling)
 
 
-def _at_config(values, config, player, num_states):
-    counts = [0] * num_states
-    for j, state in enumerate(config):
-        if j != player:
-            counts[state] += 1
-    return values.values[(config[player], tuple(counts))]
+def _at_config(values, config, player):
+    others = sorted(state for j, state in enumerate(config) if j != player)
+    return values.values[(config[player], tuple(others))]
 
 
 def deviation_floor(game, values, config, nxt, player):
-    num_states = len(game.arena.states)
     return min(
-        cost + _at_config(values, dev, player, num_states)
+        cost + _at_config(values, dev, player)
         for dev, cost in dev_set(game, config, nxt, player)
     )
 

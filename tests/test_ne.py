@@ -39,10 +39,7 @@ from corpus import (
 
 
 def _vs(arena, my, others):
-    counts = [0] * len(arena.states)
-    for name in others:
-        counts[arena.index(name)] += 1
-    return (arena.index(my), tuple(counts))
+    return (arena.index(my), tuple(sorted(arena.index(name) for name in others)))
 
 
 def test_values_zero_at_target(fig1, fig1_g2):
@@ -90,6 +87,38 @@ def test_values_respect_ceiling(corpus):
         ceiling = len(game.arena.states) * kappa(game)
         for value in table.values.values():
             assert 0 <= value <= ceiling, name
+
+
+class _KeyReads(dict):
+    """A value dict that counts the lookups it answers and the coalition
+    entries of their keys."""
+
+    lookups = entries = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        self.entries += len(key[1])
+        return super().__getitem__(key)
+
+
+def test_value_keys_are_sized_by_the_players_not_the_arena(corpus):
+    # A value state is the player's own state and the other n - 1 players'
+    # states in ascending order, whatever the arena's size.
+    for name, game in corpus:
+        for reachable in (False, True):
+            for _, coalition in compute_values(game, reachable).values:
+                assert len(coalition) == game.n - 1, name
+                assert list(coalition) == sorted(coalition), name
+    # One player on a 5,001-state chain has an empty coalition, so its
+    # check reads one value per step and no coalition entry at all.
+    names = [f"s{i}" for i in range(5_001)]
+    chain = [(u, v, constant(1)) for u, v in zip(names, names[1:])]
+    game = Game(build_arena(names, chain, names[0], names[-1]), 1)
+    table = compute_values(game, reachable=True)
+    reads = _KeyReads(table.values)
+    path = path_from_configs(game, [(v,) for v in range(len(names))])
+    assert check_ne_outcome(game, path, ne.ValueTable(reads, table.ceiling))
+    assert (reads.lookups, reads.entries) == (5000, 0)
 
 
 def _outcome(game, arena, rows):

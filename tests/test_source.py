@@ -97,6 +97,14 @@ def test_differential_references_keep_their_own_counter_update():
         assert not read & names, reference
 
 
+def test_ne_reference_enumerates_its_own_coalitions():
+    # The reference lists and keys its coalitions itself, so a fault in the
+    # solver's enumeration cannot pass into the table it is checked against.
+    tree = ast.parse((Path(__file__).parent / "ne_reference.py").read_text())
+    from_ne = {name for module, name in _package_imports(tree) if module == "ne"}
+    assert from_ne == {"ValueTable"}
+
+
 def _unused_imports(tree):
     """Names bound by a module-level import that the module never reads."""
     bound = set()
